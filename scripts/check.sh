@@ -70,6 +70,28 @@ engine_smoke() {
 }
 run_step "engine smoke (tables 2 --jobs 2)" engine_smoke
 
+# A profiled table run charges each span once: its stage times may not
+# add up to more than the run's total wall time.
+profile_smoke() {
+    local workdir
+    workdir="$(mktemp -d)" || return 1
+    python -m repro profile table --fast --json > "$workdir/profile.json" \
+        && python - "$workdir/profile.json" <<'EOF'
+import json
+import sys
+
+with open(sys.argv[1]) as fh:
+    doc = json.load(fh)
+assert doc["schema_errors"] == [], doc["schema_errors"]
+staged = sum(stage["wall_s"] for stage in doc["stages"])
+assert staged <= 1.01 * doc["total_s"], (staged, doc["total_s"])
+EOF
+    local status=$?
+    rm -rf "$workdir"
+    return $status
+}
+run_step "profile smoke (stage sum <= 1.01 x total)" profile_smoke
+
 # The evaluation service must serve byte-identical rows, coalesce
 # duplicate jobs with zero new encode work, and shut down cleanly.
 run_step "service smoke (repro-bus serve)" python scripts/service_smoke.py

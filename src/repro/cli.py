@@ -118,9 +118,11 @@ def _print_table(
 ) -> None:
     """Print one paper table — the shared body of ``table`` and ``tables``.
 
-    The output is identical with and without a config; that equivalence
-    is what lets ``tables --jobs N`` be diffed byte-for-byte against the
-    sequential ``table N`` (the CI smoke gate does exactly this).
+    Without a config the table runs on a plain ``ExecutionConfig()``
+    (one in-process worker, no cache).  The output is identical under
+    every config; that is what lets ``tables --jobs N`` be diffed
+    byte-for-byte against ``table N`` (the CI smoke gate does exactly
+    this).
     """
     from repro import experiments
 
@@ -654,8 +656,12 @@ def _cmd_prove(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     import json
 
+    from repro.engine import ExecutionConfig
     from repro.obs import run_profile
 
+    # Built before the profiled window: the execution layer's one-time
+    # import is set-up, not part of the workload being broken down.
+    config = ExecutionConfig()
     workload = args.workload
     if workload == "table":
         from repro import experiments
@@ -672,7 +678,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         params: dict = {"number": number, "length": length}
 
         def fn() -> Any:
-            return experiments.TABLE_BUILDERS[number](length)
+            return experiments.TABLE_BUILDERS[number](length, config=config)
 
     elif workload == "power":
         from repro.experiments import simulate_codecs
@@ -681,7 +687,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         params = {"benchmark": args.benchmark, "length": length}
 
         def fn() -> Any:
-            return simulate_codecs(benchmark=args.benchmark, length=length)
+            return simulate_codecs(
+                benchmark=args.benchmark, length=length, config=config
+            )
 
     else:  # prove
         from repro.analysis.formal import (

@@ -30,7 +30,7 @@ Kernels exist for every registered codec except the table-driven ones
 (``mtf``, ``wze``, ``beach``), whose per-cycle data-dependent table state
 has no closed form; callers must treat :func:`has_encode_kernel` /
 :func:`has_decode_kernel` as the capability test and fall back to the
-reference path (the engine and ``compare_codecs`` do exactly that).
+reference path (the engine does exactly that).
 Kernels also require all wires to fit one uint64, i.e.
 ``width + len(extra_lines) <= 64`` — the same packing limit
 :func:`repro.metrics.fast.pack_words` enforces.

@@ -34,6 +34,7 @@ from repro.core import kernels
 from repro.core.base import Codec
 from repro.core.word import EncodedWord
 from repro.metrics.fast import (
+    _as_u64,
     binary_reference_report,
     count_transitions_fast,
     in_sequence_fraction_fast,
@@ -233,11 +234,11 @@ def _compute_binary_reference(cell: Cell) -> Dict[str, Any]:
     with obs_span(
         "count", codec="binary", cycles=len(cell.addresses)
     ):
-        report = binary_reference_report(cell.addresses, width=cell.width)
-    return {
-        "report": report_to_payload(report),
-        "in_sequence": in_sequence_fraction_fast(cell.addresses, cell.stride),
-    }
+        # One uint64 conversion serves both statistics.
+        addresses = _as_u64(cell.addresses)
+        report = binary_reference_report(addresses, width=cell.width)
+        in_sequence = in_sequence_fraction_fast(addresses, cell.stride)
+    return {"report": report_to_payload(report), "in_sequence": in_sequence}
 
 
 def _compute_codec_transitions(

@@ -1,21 +1,17 @@
-"""Unified execution configuration: one object instead of kwarg sprawl.
+"""Unified execution configuration: one object for every execution knob.
 
-Before this module, every layer that could use the batch engine grew its
-own knobs — ``compare_codecs(engine=, use_kernels=)``, the table builders'
-``engine=``, and the CLI's ``--jobs/--cache/--refresh/--chunk-size``
-quartet — which meant a front end (the evaluation service, a notebook, a
-script) had to understand the whole stack to configure any of it.
-
-:class:`ExecutionConfig` collapses that surface: it names the four
-execution decisions a caller can make (worker count, cache directory,
-kernel routing, chunk size) plus the two cache policies (refresh,
-max-bytes eviction), validates them once, and builds the
-:class:`~repro.engine.runner.BatchEngine` they imply.  The engine is
-memoized per config object, so threading **one** config through a whole
-run — every table, every row — shares one engine, one cache handle and
-one cumulative :class:`~repro.engine.runner.EngineStats`, exactly like
-the old pattern of passing a live engine around, without exposing the
-engine type to callers.
+Every comparison row, paper table and power run is computed as engine
+cells; :class:`ExecutionConfig` is how a caller says how those cells run.
+It names the four execution decisions a caller can make (worker count,
+cache directory, kernel routing, chunk size) plus the two cache policies
+(refresh, max-bytes eviction), validates them once, and builds the
+:class:`~repro.engine.runner.BatchEngine` they imply.  A caller that
+passes no config gets a plain ``ExecutionConfig()``: one in-process
+worker, no cache, no fork.  The engine is memoized per config object, so
+threading **one** config through a whole run — every table, every row —
+shares one engine, one cache handle and one cumulative
+:class:`~repro.engine.runner.EngineStats`, without exposing the engine
+type to callers.
 
 The evaluation service (:mod:`repro.service`) constructs its engine from
 the same object, so ``repro-bus serve`` and ``repro-bus tables`` are

@@ -11,11 +11,12 @@ under any worker scheduling.  Per cell the engine:
    the worker from ``(name, width, params)`` — codecs that cannot be
    rebuilt that way (the trained beach code) run in the parent and are
    not cached, since their params do not determine their behaviour;
-3. replays each worker's captured trace spans into the parent's sinks
-   (with fresh ids — see :func:`repro.obs.trace.replay_events`), writes
-   the new payloads back to the cache, and updates the
-   ``engine.cache.hits`` / ``engine.cache.misses`` / ``engine.cells`` /
-   ``core.encoded_words`` counters that run manifests snapshot.
+3. replays each pool worker's captured trace spans into the parent's
+   sinks (with fresh ids — see :func:`repro.obs.trace.replay_events`;
+   in-process cells emit their spans live), writes the new payloads back
+   to the cache, and updates the ``engine.cache.hits`` /
+   ``engine.cache.misses`` / ``engine.cells`` / ``core.encoded_words`` /
+   ``metrics.transitions`` counters that run manifests snapshot.
 
 A warm rerun of an unchanged workload therefore performs **zero** codec
 encode work: every cell is served in step 1, no encode span is emitted
@@ -201,7 +202,10 @@ class BatchEngine:
         pool_tasks: List[_CellTask] = []
         inline: List[Tuple[int, Cell, bool]] = []  # (index, cell, cacheable)
         keys: Dict[int, str] = {}
-        traced = obs_enabled()
+        # Pool workers capture their spans for replay here; in-process
+        # cells emit theirs live (capturing those too would count each
+        # span twice, since a capture tees into the live sinks).
+        traced = obs_enabled() and self.jobs > 1
         batch_hits = 0
         batch_started = time.perf_counter()
 
@@ -310,6 +314,11 @@ class BatchEngine:
                     int(wall_s * 1000)
                 )
                 replay_events(events)
+                report = payload.get("report")
+                if isinstance(report, dict):
+                    obs_metrics.counter(
+                        "metrics.transitions", codec=cell.codec_name
+                    ).inc(report["total"])
                 encoded = payload.get("encoded_words")
                 if isinstance(encoded, int):
                     obs_metrics.counter(

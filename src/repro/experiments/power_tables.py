@@ -13,16 +13,13 @@ power for *off-chip* loads (20–200 pF).  Following the paper's methodology:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from repro.engine.config import ExecutionConfig
 
-from repro.metrics import count_transitions, render_table
-from repro.obs import metrics as obs_metrics
-from repro.obs.trace import span as obs_span
+from repro.metrics import render_table
 from repro.rtl.codecs import DECODER_BUILDERS, ENCODER_BUILDERS
 from repro.rtl.netlist import SimulationResult
 from repro.rtl.pads import PAD_INPUT_CAP, OutputPadBank
@@ -60,91 +57,56 @@ def simulate_codecs(
     width: int = 32,
     codes: Sequence[str] = POWER_CODES,
     config: Optional["ExecutionConfig"] = None,
-    engine: Optional["object"] = None,
 ) -> Dict[str, CodecPowerRun]:
     """Run each codec circuit over a benchmark multiplexed stream.
 
-    With ``config`` (an :class:`repro.engine.ExecutionConfig`), the
-    per-codec gate-level simulations run as ``power-sim`` cells on the
-    config's engine — parallel and cache-served.  A cell payload carries
-    only the cycle/toggle counts the power estimator reads; the
-    deterministic netlists are rebuilt here, so the returned runs produce
-    identical power figures either way (the per-cycle output vectors,
-    which nothing downstream reads, are empty).
-
-    ``engine=`` is a deprecated shim for the pre-``ExecutionConfig``
-    surface; it emits :class:`DeprecationWarning` and will be removed.
+    The per-codec gate-level simulations run as ``power-sim`` cells on
+    ``config``'s engine (an :class:`repro.engine.ExecutionConfig`; None
+    means a plain ``ExecutionConfig()``: one in-process worker, no cache).
+    A cell payload carries only the cycle/toggle counts the power
+    estimator reads; the deterministic netlists are rebuilt here, so the
+    power figures are identical under every config (the per-cycle output
+    vectors, which nothing downstream reads, are empty).
     """
-    if engine is not None:
-        warnings.warn(
-            "simulate_codecs(engine=...) is deprecated; pass "
-            "config=ExecutionConfig(...) instead (see docs/engine.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    if engine is None and config is not None:
-        engine = config.engine()
-    trace = multiplexed_trace(get_profile(benchmark), length)
-    if engine is not None:
-        from repro.engine import METRIC_POWER, make_cell
+    # Imported here: repro.engine.cells imports repro.metrics.
+    from repro.engine import METRIC_POWER, ExecutionConfig, make_cell
 
-        cells = [
-            make_cell(
-                METRIC_POWER,
-                benchmark,
-                trace.addresses,
-                trace.sels,
-                width=width,
-                codec_name=name,
-            )
-            for name in codes
-        ]
-        payloads = engine.run(cells)
-        runs: Dict[str, CodecPowerRun] = {}
-        for name, payload in zip(codes, payloads):
-            netlists = {
-                "encoder": ENCODER_BUILDERS[name](width).netlist,
-                "decoder": DECODER_BUILDERS[name](width).netlist,
-            }
-            results = {
-                side: SimulationResult(
-                    netlist=netlists[side],
-                    cycles=payload[side]["cycles"],
-                    outputs=[],
-                    net_toggles=list(payload[side]["net_toggles"]),
-                    gate_output_toggles=[],
-                    flop_output_toggles=[],
-                )
-                for side in ("encoder", "decoder")
-            }
-            runs[name] = CodecPowerRun(
-                name=name,
-                encoder_result=results["encoder"],
-                decoder_result=results["decoder"],
-                encoded_transitions_per_cycle=payload["per_cycle"],
-                line_count=payload["line_count"],
-            )
-        return runs
-    runs = {}
-    for name in codes:
-        with obs_span("simulate", codec=name, cycles=len(trace)):
-            encoder = ENCODER_BUILDERS[name](width)
-            enc_result, words = encoder.run(trace.addresses, trace.sels)
-            decoder = DECODER_BUILDERS[name](width)
-            dec_result, decoded = decoder.run(words, trace.sels)
-        obs_metrics.counter("rtl.simulated_cycles", codec=name).inc(
-            2 * len(trace)
+    trace = multiplexed_trace(get_profile(benchmark), length)
+    cells = [
+        make_cell(
+            METRIC_POWER,
+            benchmark,
+            trace.addresses,
+            trace.sels,
+            width=width,
+            codec_name=name,
         )
-        if list(decoded) != list(trace.addresses):
-            raise AssertionError(f"{name} circuit roundtrip failed")
-        with obs_span("count", codec=name, cycles=len(words)):
-            report = count_transitions(words, width=width)
+        for name in codes
+    ]
+    payloads = (config or ExecutionConfig()).engine().run(cells)
+    runs: Dict[str, CodecPowerRun] = {}
+    for name, payload in zip(codes, payloads):
+        netlists = {
+            "encoder": ENCODER_BUILDERS[name](width).netlist,
+            "decoder": DECODER_BUILDERS[name](width).netlist,
+        }
+        results = {
+            side: SimulationResult(
+                netlist=netlists[side],
+                cycles=payload[side]["cycles"],
+                outputs=[],
+                net_toggles=list(payload[side]["net_toggles"]),
+                gate_output_toggles=[],
+                flop_output_toggles=[],
+            )
+            for side in ("encoder", "decoder")
+        }
         runs[name] = CodecPowerRun(
             name=name,
-            encoder_result=enc_result,
-            decoder_result=dec_result,
-            encoded_transitions_per_cycle=report.per_cycle,
-            line_count=width + words[0].extra_count,
+            encoder_result=results["encoder"],
+            decoder_result=results["decoder"],
+            encoded_transitions_per_cycle=payload["per_cycle"],
+            line_count=payload["line_count"],
         )
     return runs
 

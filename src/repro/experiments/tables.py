@@ -15,7 +15,6 @@ rendered from the same spec and comes out byte-identical.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
@@ -23,10 +22,9 @@ if TYPE_CHECKING:
     from repro.engine.config import ExecutionConfig
 
 from repro.core import Codec, make_codec
-from repro.metrics import PaperTable, compare_codecs, render_table
+from repro.metrics import PaperTable, render_table
 from repro.power.analytical import table1 as analytical_table1
 from repro.tracegen import all_traces
-from repro.tracegen.trace import AddressTrace
 
 #: Column averages published in the paper, for table-by-table comparison.
 PAPER_AVERAGES: Dict[str, Dict[str, float]] = {
@@ -118,91 +116,47 @@ def _codecs(names: Sequence[str], width: int = 32, stride: int = 4) -> List[Code
     return built
 
 
-def _deprecated_engine(
-    caller: str, engine: Optional[object], stacklevel: int = 3
-) -> None:
-    if engine is not None:
-        warnings.warn(
-            f"{caller}(engine=...) is deprecated; pass "
-            "config=ExecutionConfig(...) instead (see docs/engine.md)",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-
-
 def _stream_table(
-    title: str,
-    kind: str,
-    codec_names: Sequence[str],
-    length: int = 0,
-    traces: Optional[Sequence[AddressTrace]] = None,
-    engine: Optional["object"] = None,
+    spec: TableSpec, length: int, config: Optional["ExecutionConfig"]
 ) -> PaperTable:
     """Build one paper table over the nine benchmark streams.
 
-    With ``engine`` (built from the caller's
-    :class:`~repro.engine.ExecutionConfig`), the whole table — every
-    benchmark row's cells — is submitted as **one** batch, so a worker
-    pool spans the full grid rather than one row at a time; the rendered
-    table is identical to the sequential path.
+    Every benchmark row's cells go to ``config``'s engine as **one**
+    batch, so a worker pool spans the full grid rather than one row at a
+    time.  None means a plain ``ExecutionConfig()``: one in-process
+    worker, no cache.  The rendered table is identical under every config.
     """
-    codecs = _codecs(codec_names)
-    table = PaperTable(title=title, codec_names=list(codec_names))
-    streams = list(traces if traces is not None else all_traces(kind, length))
-    if engine is not None:
-        from repro.engine import comparison_cells, row_from_results
+    # Imported here: repro.engine.cells imports repro.metrics.
+    from repro.engine import ExecutionConfig, comparison_cells, row_from_results
 
-        cells = []
-        spans = []
-        for trace in streams:
-            row_cells = comparison_cells(
-                codecs,
-                trace.addresses,
-                trace.effective_sels(),
-                stride=trace.stride,
-                benchmark=trace.name.split(".")[0],
-            )
-            spans.append((len(cells), len(row_cells)))
-            cells.extend(row_cells)
-        payloads = engine.run(
-            cells, codecs={codec.name: codec for codec in codecs}
-        )
-        for trace, (start, count) in zip(streams, spans):
-            table.add(
-                row_from_results(
-                    codecs,
-                    payloads[start : start + count],
-                    len(trace.addresses),
-                    benchmark=trace.name.split(".")[0],
-                )
-            )
-        return table
+    codecs = _codecs(spec.codecs)
+    table = PaperTable(title=spec.title, codec_names=list(spec.codecs))
+    streams = all_traces(spec.kind, length)
+    cells = []
+    spans = []
     for trace in streams:
+        row_cells = comparison_cells(
+            codecs,
+            trace.addresses,
+            trace.effective_sels(),
+            stride=trace.stride,
+            benchmark=trace.name.split(".")[0],
+        )
+        spans.append((len(cells), len(row_cells)))
+        cells.extend(row_cells)
+    payloads = (config or ExecutionConfig()).engine().run(
+        cells, codecs={codec.name: codec for codec in codecs}
+    )
+    for trace, (start, count) in zip(streams, spans):
         table.add(
-            compare_codecs(
+            row_from_results(
                 codecs,
-                trace.addresses,
-                trace.effective_sels(),
-                stride=trace.stride,
+                payloads[start : start + count],
+                len(trace.addresses),
                 benchmark=trace.name.split(".")[0],
             )
         )
     return table
-
-
-def _spec_table(
-    number: int,
-    length: int,
-    config: Optional["ExecutionConfig"],
-    engine: Optional["object"],
-) -> PaperTable:
-    spec = TABLE_SPECS[number]
-    _deprecated_engine(f"table{number}", engine, stacklevel=4)
-    if engine is None and config is not None:
-        engine = config.engine()
-    return _stream_table(
-        spec.title, spec.kind, spec.codecs, length, engine=engine
-    )
 
 
 def table1_text(width: int = 32, stride: int = 1) -> str:
@@ -227,55 +181,49 @@ def table1_text(width: int = 32, stride: int = 1) -> str:
 def table2(
     length: int = 0,
     config: Optional["ExecutionConfig"] = None,
-    engine: Optional["object"] = None,
 ) -> PaperTable:
     """Table 2: existing codes on instruction address streams."""
-    return _spec_table(2, length, config, engine)
+    return _stream_table(TABLE_SPECS[2], length, config)
 
 
 def table3(
     length: int = 0,
     config: Optional["ExecutionConfig"] = None,
-    engine: Optional["object"] = None,
 ) -> PaperTable:
     """Table 3: existing codes on data address streams."""
-    return _spec_table(3, length, config, engine)
+    return _stream_table(TABLE_SPECS[3], length, config)
 
 
 def table4(
     length: int = 0,
     config: Optional["ExecutionConfig"] = None,
-    engine: Optional["object"] = None,
 ) -> PaperTable:
     """Table 4: existing codes on multiplexed address streams."""
-    return _spec_table(4, length, config, engine)
+    return _stream_table(TABLE_SPECS[4], length, config)
 
 
 def table5(
     length: int = 0,
     config: Optional["ExecutionConfig"] = None,
-    engine: Optional["object"] = None,
 ) -> PaperTable:
     """Table 5: mixed codes on instruction address streams."""
-    return _spec_table(5, length, config, engine)
+    return _stream_table(TABLE_SPECS[5], length, config)
 
 
 def table6(
     length: int = 0,
     config: Optional["ExecutionConfig"] = None,
-    engine: Optional["object"] = None,
 ) -> PaperTable:
     """Table 6: mixed codes on data address streams."""
-    return _spec_table(6, length, config, engine)
+    return _stream_table(TABLE_SPECS[6], length, config)
 
 
 def table7(
     length: int = 0,
     config: Optional["ExecutionConfig"] = None,
-    engine: Optional["object"] = None,
 ) -> PaperTable:
     """Table 7: mixed codes on multiplexed address streams."""
-    return _spec_table(7, length, config, engine)
+    return _stream_table(TABLE_SPECS[7], length, config)
 
 
 TABLE_BUILDERS = {

@@ -10,18 +10,14 @@ benchmarks, like the paper's per-column averages) and renders plain text.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from repro.engine.config import ExecutionConfig
 
-from repro.core.base import Codec, encode_stream
-from repro.metrics.stats import in_sequence_fraction
-from repro.metrics.transitions import TransitionReport, count_transitions
-from repro.obs import metrics as obs_metrics
-from repro.obs.trace import span as obs_span
+from repro.core.base import Codec
+from repro.metrics.transitions import TransitionReport
 
 
 @dataclass(frozen=True)
@@ -51,47 +47,6 @@ class ComparisonRow:
         raise KeyError(f"no result for codec {name!r} in row {self.benchmark!r}")
 
 
-def _resolve_execution(
-    caller: str,
-    config: Optional["ExecutionConfig"],
-    engine: Optional[object],
-    use_kernels: Optional[bool],
-) -> Tuple[Optional[object], bool]:
-    """Fold the deprecated ``engine=``/``use_kernels=`` kwargs into the
-    :class:`~repro.engine.ExecutionConfig` surface.
-
-    Returns ``(engine, inline_kernels)``: the engine to submit cells to
-    (None for the inline sequential path) and whether the inline path may
-    route through the columnar kernels.  The deprecated kwargs win over
-    ``config`` when both are passed — matching what pre-redesign callers
-    asked for — but emit a :class:`DeprecationWarning` pointing at the
-    replacement.
-    """
-    if engine is not None:
-        warnings.warn(
-            f"{caller}(engine=...) is deprecated; pass "
-            "config=ExecutionConfig(...) instead (see docs/engine.md)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    if use_kernels is not None:
-        warnings.warn(
-            f"{caller}(use_kernels=...) is deprecated; pass "
-            "config=ExecutionConfig(kernels=...) instead "
-            "(see docs/engine.md)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    if engine is None and config is not None:
-        engine = config.engine()
-    inline_kernels = (
-        use_kernels
-        if use_kernels is not None
-        else (config.kernels if config is not None else True)
-    )
-    return engine, inline_kernels
-
-
 def compare_codecs(
     codecs: Sequence[Codec],
     addresses: Sequence[int],
@@ -99,23 +54,18 @@ def compare_codecs(
     stride: int = 4,
     benchmark: str = "",
     config: Optional["ExecutionConfig"] = None,
-    engine: Optional["object"] = None,
-    use_kernels: Optional[bool] = None,
 ) -> ComparisonRow:
     """Encode one stream under every codec and tabulate savings vs binary.
 
     The binary reference is computed from the stream itself (not taken from
     ``codecs``), so callers may pass only the candidate codes.
 
-    ``config`` (an :class:`repro.engine.ExecutionConfig`) is the one
-    execution knob: it decides worker count, caching, kernel routing and
-    chunking, and routes the row's cells through the config's engine —
-    parallel and cache-served.  The resulting row is bit-identical to the
-    inline sequential path taken when ``config`` is None.
-
-    ``engine=`` and ``use_kernels=`` are deprecated shims for the
-    pre-:class:`~repro.engine.ExecutionConfig` surface; both emit
-    :class:`DeprecationWarning` and will be removed.
+    The row is computed as engine cells (see
+    :func:`repro.engine.comparison_cells`) on ``config``'s engine.
+    ``config`` (an :class:`repro.engine.ExecutionConfig`) decides worker
+    count, caching, kernel routing and chunking; None means a plain
+    ``ExecutionConfig()``: one in-process worker, no cache.  The row is
+    bit-identical under every config.
     """
     if not addresses:
         raise ValueError("cannot compare codecs on an empty stream")
@@ -124,76 +74,16 @@ def compare_codecs(
         if codec.width != width:
             raise ValueError("all codecs in a comparison must share a width")
 
-    engine, inline_kernels = _resolve_execution(
-        "compare_codecs", config, engine, use_kernels
+    # Imported here: repro.engine.cells imports repro.metrics.
+    from repro.engine import ExecutionConfig, comparison_cells, row_from_results
+
+    cells = comparison_cells(
+        codecs, addresses, sels, stride=stride, benchmark=benchmark
     )
-    if engine is not None:
-        from repro.engine import comparison_cells, row_from_results
-
-        cells = comparison_cells(
-            codecs, addresses, sels, stride=stride, benchmark=benchmark
-        )
-        payloads = engine.run(
-            cells, codecs={codec.name: codec for codec in codecs}
-        )
-        return row_from_results(
-            codecs, payloads, len(addresses), benchmark=benchmark
-        )
-
-    from repro.core import kernels
-
-    with obs_span("count", codec="binary", cycles=len(addresses)):
-        binary_report = count_transitions(_binary_words(addresses), width=width)
-    obs_metrics.counter("metrics.transitions", codec="binary").inc(
-        binary_report.total
+    payloads = (config or ExecutionConfig()).engine().run(
+        cells, codecs={codec.name: codec for codec in codecs}
     )
-    results: List[CodecResult] = []
-    for codec in codecs:
-        if inline_kernels and kernels.has_encode_kernel(codec):
-            with obs_span(
-                "encode", codec=codec.name, cycles=len(addresses)
-            ):
-                encoded = kernels.encode_stream_kernel(
-                    codec, addresses, sels
-                )
-            obs_metrics.counter(
-                "core.encoded_words", codec=codec.name
-            ).inc(encoded.cycles)
-            with obs_span("count", codec=codec.name, cycles=encoded.cycles):
-                report = encoded.report()
-        else:
-            words = encode_stream(codec, addresses, sels)
-            with obs_span("count", codec=codec.name, cycles=len(words)):
-                report = count_transitions(words, width=width)
-        obs_metrics.counter("metrics.transitions", codec=codec.name).inc(
-            report.total
-        )
-        savings = (
-            1.0 - report.total / binary_report.total
-            if binary_report.total
-            else 0.0
-        )
-        results.append(
-            CodecResult(
-                name=codec.name,
-                transitions=report.total,
-                savings=savings,
-                report=report,
-            )
-        )
-    return ComparisonRow(
-        benchmark=benchmark,
-        length=len(addresses),
-        in_sequence=in_sequence_fraction(addresses, stride),
-        binary_transitions=binary_report.total,
-        results=tuple(results),
-    )
-
-
-def _binary_words(addresses: Sequence[int]):
-    from repro.core.word import EncodedWord
-
-    return [EncodedWord(address) for address in addresses]
+    return row_from_results(codecs, payloads, len(addresses), benchmark=benchmark)
 
 
 def render_table(

@@ -122,6 +122,10 @@ def write_manifest(
     return target
 
 
+#: Spans that only wrap a batch of stage spans (one engine run).
+BATCH_SPANS = ("engine",)
+
+
 def charged_spans(
     events: Sequence[Dict[str, Any]],
     stage_names: Optional[Sequence[str]] = None,
@@ -132,7 +136,10 @@ def charged_spans(
     set — so ``tracegen`` inside ``tracegen`` (a multiplexed trace
     building its instruction source) and ``count`` inside ``encode``
     count once, keeping the per-stage times additive and comparable to
-    the run's total wall time.
+    the run's total wall time.  Without ``stage_names`` every span name
+    is a stage except the :data:`BATCH_SPANS` containers, so the cells'
+    ``encode``/``count``/``simulate`` spans are charged, not the engine
+    batch that wraps them.
 
     Spans that *began but never ended* — a workload aborted mid-stage by
     an exception or a kill, or a truncated JSONL trace — are still
@@ -157,7 +164,9 @@ def charged_spans(
         elif entry.get("type") == "span_end":
             ended.add(entry.get("id"))
     stage_set = (
-        set(stage_names) if stage_names is not None else set(names.values())
+        set(stage_names)
+        if stage_names is not None
+        else set(names.values()) - set(BATCH_SPANS)
     )
 
     def outermost(parent: Optional[int]) -> bool:

@@ -32,6 +32,33 @@ def make_mixed_stream(length: int = 400, seed: int = 0, width: int = 32):
     return addresses, sels
 
 
+def oracle_row(codecs, addresses, sels=None, stride=4, benchmark=""):
+    """A comparison row built from the scalar reference functions alone
+    (``encode_stream`` + ``count_transitions`` + ``in_sequence_fraction``),
+    independent of the engine cells ``compare_codecs`` runs on."""
+    from repro.core.base import encode_stream
+    from repro.core.word import EncodedWord
+    from repro.metrics import count_transitions, in_sequence_fraction
+    from repro.metrics.report import CodecResult, ComparisonRow
+
+    width = codecs[0].width
+    binary = count_transitions([EncodedWord(a) for a in addresses], width=width)
+    results = []
+    for codec in codecs:
+        report = count_transitions(
+            encode_stream(codec, addresses, sels), width=width
+        )
+        savings = 1.0 - report.total / binary.total if binary.total else 0.0
+        results.append(CodecResult(codec.name, report.total, savings, report))
+    return ComparisonRow(
+        benchmark=benchmark,
+        length=len(addresses),
+        in_sequence=in_sequence_fraction(addresses, stride),
+        binary_transitions=binary.total,
+        results=tuple(results),
+    )
+
+
 @pytest.fixture
 def mixed_stream():
     return make_mixed_stream()

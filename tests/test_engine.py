@@ -30,7 +30,7 @@ from repro.metrics import compare_codecs
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
-from tests.conftest import make_mixed_stream
+from tests.conftest import make_mixed_stream, oracle_row
 
 
 @pytest.fixture
@@ -130,37 +130,71 @@ class TestResultCache:
 
 
 class TestEngineRuns:
-    def test_matches_sequential_row(self, stream, codecs):
+    def test_matches_scalar_oracle_row(self, stream, codecs):
         addresses, sels = stream
-        sequential = compare_codecs(codecs, addresses, sels, benchmark="b")
-        row = compare_codecs(
-            codecs,
-            addresses,
-            sels,
-            benchmark="b",
-            config=ExecutionConfig(jobs=1),
-        )
-        assert row == sequential
-
-    def test_deprecated_kwargs_warn_but_still_work(self, stream, codecs):
-        addresses, sels = stream
-        sequential = compare_codecs(codecs, addresses, sels, benchmark="b")
-        with pytest.warns(DeprecationWarning, match="engine=.*deprecated"):
-            row = compare_codecs(
-                codecs,
-                addresses,
-                sels,
-                benchmark="b",
-                engine=BatchEngine(jobs=1),
-            )
-        assert row == sequential
-        with pytest.warns(
-            DeprecationWarning, match="use_kernels=.*deprecated"
+        expected = oracle_row(codecs, addresses, sels, benchmark="b")
+        for config in (
+            None,
+            ExecutionConfig(),
+            ExecutionConfig(kernels=False),
+            ExecutionConfig(jobs=2),
         ):
             row = compare_codecs(
-                codecs, addresses, sels, benchmark="b", use_kernels=True
+                codecs, addresses, sels, benchmark="b", config=config
             )
-        assert row == sequential
+            assert row == expected
+
+    def test_removed_kwargs_raise_type_error(self, stream, codecs):
+        from repro.experiments import simulate_codecs, table2
+
+        addresses, sels = stream
+        with pytest.raises(TypeError, match="engine"):
+            compare_codecs(
+                codecs, addresses, sels, engine=BatchEngine(jobs=1)
+            )
+        with pytest.raises(TypeError, match="use_kernels"):
+            compare_codecs(codecs, addresses, sels, use_kernels=True)
+        with pytest.raises(TypeError, match="engine"):
+            table2(120, engine=BatchEngine(jobs=1))
+        with pytest.raises(TypeError, match="engine"):
+            simulate_codecs("gzip", 50, engine=BatchEngine(jobs=1))
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_one_span_and_counter_per_computed_cell(
+        self, stream, jobs
+    ):
+        """In-process cells emit their spans live and pool cells are
+        replayed: either way each span appears exactly once."""
+        addresses, sels = stream
+        codecs = [make_codec(name, 32) for name in ("t0", "bus-invert")]
+        before = obs_metrics.snapshot()
+        with obs_trace.capture() as sink:
+            row = compare_codecs(
+                codecs, addresses, sels, config=ExecutionConfig(jobs=jobs)
+            )
+        spans: dict = {}
+        for event in sink.events:
+            if event["type"] == "span_begin":
+                key = (event["name"], event["fields"].get("codec"))
+                spans[key] = spans.get(key, 0) + 1
+        assert spans == {
+            ("engine", None): 1,
+            ("count", "binary"): 1,
+            ("encode", "t0"): 1,
+            ("count", "t0"): 1,
+            ("encode", "bus-invert"): 1,
+            ("count", "bus-invert"): 1,
+        }
+        deltas = {
+            d["labels"]["codec"]: d["value"]
+            for d in obs_metrics.counter_deltas(before, obs_metrics.snapshot())
+            if d["name"] == "metrics.transitions"
+        }
+        assert deltas == {
+            "binary": row.binary_transitions,
+            "t0": row.result("t0").transitions,
+            "bus-invert": row.result("bus-invert").transitions,
+        }
 
     def test_config_memoizes_one_engine(self):
         config = ExecutionConfig(jobs=1)
@@ -183,7 +217,7 @@ class TestEngineRuns:
             )
             assert parallel == reference
         row = row_from_results(codecs, reference, len(addresses), benchmark="b")
-        assert row == compare_codecs(codecs, addresses, sels, benchmark="b")
+        assert row == oracle_row(codecs, addresses, sels, benchmark="b")
 
     def test_warm_run_is_all_hits_and_no_encode_work(
         self, tmp_path, stream, codecs
@@ -250,7 +284,7 @@ class TestEngineRuns:
         payloads = engine.run(cells, codecs={"beach": beach})
         assert engine.stats.uncacheable == 1  # the beach cell
         row = row_from_results([beach], payloads, len(addresses), benchmark="b")
-        assert row == compare_codecs([beach], addresses, sels, benchmark="b")
+        assert row == oracle_row([beach], addresses, sels, benchmark="b")
 
     def test_trained_codec_without_live_codec_raises(self, stream):
         addresses, sels = stream
@@ -387,27 +421,33 @@ class TestEngineTelemetry:
 
 
 class TestEnginePowerCells:
-    def test_power_runs_match_sequential(self):
+    def test_power_runs_match_scalar_oracle(self):
         from repro.experiments.power_tables import simulate_codecs
+        from repro.metrics import count_transitions
+        from repro.rtl.codecs import DECODER_BUILDERS, ENCODER_BUILDERS
         from repro.rtl.power import estimate_from_simulation
+        from repro.tracegen import get_profile, multiplexed_trace
 
-        sequential = simulate_codecs("gzip", 200, codes=("t0",))
-        engine_runs = simulate_codecs(
-            "gzip", 200, codes=("t0",), config=ExecutionConfig(jobs=1)
+        trace = multiplexed_trace(get_profile("gzip"), 200)
+        enc_result, words = ENCODER_BUILDERS["t0"](32).run(
+            trace.addresses, trace.sels
         )
-        for side in ("encoder_result", "decoder_result"):
-            a = estimate_from_simulation(
-                getattr(sequential["t0"], side), output_load=0.4e-12
-            )
-            b = estimate_from_simulation(
-                getattr(engine_runs["t0"], side), output_load=0.4e-12
-            )
-            assert a == b
-        assert (
-            engine_runs["t0"].encoded_transitions_per_cycle
-            == sequential["t0"].encoded_transitions_per_cycle
+        dec_result, decoded = DECODER_BUILDERS["t0"](32).run(
+            words, trace.sels
         )
-        assert engine_runs["t0"].line_count == sequential["t0"].line_count
+        assert list(decoded) == list(trace.addresses)
+        oracle = {"encoder_result": enc_result, "decoder_result": dec_result}
+        report = count_transitions(words, width=32)
+        for config in (None, ExecutionConfig(jobs=2)):
+            run = simulate_codecs("gzip", 200, codes=("t0",), config=config)[
+                "t0"
+            ]
+            for side, expected in oracle.items():
+                assert estimate_from_simulation(
+                    getattr(run, side), output_load=0.4e-12
+                ) == estimate_from_simulation(expected, output_load=0.4e-12)
+            assert run.encoded_transitions_per_cycle == report.per_cycle
+            assert run.line_count == 32 + words[0].extra_count
 
 
 class TestTablesCli:

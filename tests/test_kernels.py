@@ -27,6 +27,7 @@ from repro.core.base import (
 from repro.core.word import EncodedWord
 from repro.engine import (
     BatchEngine,
+    ExecutionConfig,
     METRIC_CODEC,
     METRIC_POWER,
     comparison_cells,
@@ -39,7 +40,7 @@ from repro.metrics import compare_codecs
 from repro.metrics.fast import _as_u64, count_transitions_fast, pack_words
 from repro.obs import metrics as obs_metrics
 
-from tests.conftest import make_mixed_stream
+from tests.conftest import make_mixed_stream, oracle_row
 
 #: Every codec with a columnar encode kernel.
 KERNEL_CODECS = sorted(kernels._ENCODE_KERNELS)
@@ -413,12 +414,16 @@ class TestEngineRouting:
     def test_compare_codecs_rows_match(self):
         addresses, sels = _stream("mixed")
         codecs = [make_codec(name, 32) for name in ("t0", "gray", "wze")]
-        fast = compare_codecs(codecs, addresses, sels, benchmark="b")
-        with pytest.warns(DeprecationWarning, match="use_kernels="):
-            slow = compare_codecs(
-                codecs, addresses, sels, benchmark="b", use_kernels=False
+        expected = oracle_row(codecs, addresses, sels, benchmark="b")
+        for config in (
+            ExecutionConfig(),
+            ExecutionConfig(kernels=False),
+            ExecutionConfig(jobs=2),
+        ):
+            row = compare_codecs(
+                codecs, addresses, sels, benchmark="b", config=config
             )
-        assert fast == slow
+            assert row == expected
 
     def test_engine_payloads_match_across_flag(self):
         addresses, sels = _stream("mixed")
