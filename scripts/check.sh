@@ -96,6 +96,27 @@ run_step "profile smoke (stage sum <= 1.01 x total)" profile_smoke
 # duplicate jobs with zero new encode work, and shut down cleanly.
 run_step "service smoke (repro-bus serve)" python scripts/service_smoke.py
 
+# perfbench's layer tracer wraps program entry points by name: a traced
+# tables-cold pass must still run and end with "correct": true.
+perfbench_smoke() {
+    local workdir
+    workdir="$(mktemp -d)" || return 1
+    python3 perfbench/run.py --workload tables-cold --seed 1 --seconds 1 \
+            --trace 1 > "$workdir/perfbench.txt" \
+        && python - "$workdir/perfbench.txt" <<'EOF'
+import json
+import sys
+
+with open(sys.argv[1]) as fh:
+    last = fh.read().splitlines()[-1]
+assert json.loads(last)["correct"] is True, last
+EOF
+    local status=$?
+    rm -rf "$workdir"
+    return $status
+}
+run_step "perfbench entry-point guard (tables-cold --trace 1)" perfbench_smoke
+
 # The columnar kernels must stay bit-identical to the reference path
 # and keep clearing the cold-encode speedup floor.
 if python -c "import pytest_benchmark" >/dev/null 2>&1; then

@@ -11,8 +11,9 @@ These kernels compute the same streams as whole-array operations on a
 uint64 vector: each cycle's wires are packed exactly like
 :meth:`EncodedWord.packed` (redundant lines above the ``width`` bus bits),
 so Hamming distance between consecutive packed words is the number of
-toggling wires and a :class:`~repro.metrics.transitions.TransitionReport`
-falls out of the same bit-plane machinery :mod:`repro.metrics.fast` uses.
+toggling wires, and :meth:`KernelResult.report` is one call of the fold
+every vectorised :class:`~repro.metrics.transitions.TransitionReport`
+comes from, :func:`repro.metrics.fast.count_packed`.
 
 Two facts make the paper's codes vectorizable despite their statefulness:
 
@@ -33,7 +34,7 @@ has no closed form; callers must treat :func:`has_encode_kernel` /
 reference path (the engine does exactly that).
 Kernels also require all wires to fit one uint64, i.e.
 ``width + len(extra_lines) <= 64`` — the same packing limit
-:func:`repro.metrics.fast.pack_words` enforces.
+:func:`repro.metrics.fast.count_packed` enforces.
 
 Bit-identity with the reference path — including the power-up conventions
 and the exact validation errors — is locked by ``tests/test_kernels.py``
@@ -51,7 +52,7 @@ from repro.core.base import SEL_INSTRUCTION, Codec
 from repro.core.partitioned import partition_bounds
 from repro.core.t0 import check_stride
 from repro.core.word import EncodedWord
-from repro.metrics.fast import _as_u64, _popcount
+from repro.metrics.fast import _as_u64, _popcount, count_packed
 from repro.metrics.transitions import TransitionReport
 from repro.obs import metrics as obs_metrics
 
@@ -531,38 +532,10 @@ class KernelResult:
         return int(self.packed.size)
 
     def report(self) -> TransitionReport:
-        """The stream's transition report — identical to running
-        :func:`repro.metrics.fast.count_transitions_fast` on the words.
-
-        Per-line counts come from one 256-bin histogram per byte lane of
-        the diff words, folded through a 256x8 bit table — eight
-        ``bincount`` passes total, instead of one masked pass per wire.
-        Totals are derived from the per-line counts (every toggle is a
-        toggle of exactly one line), so no popcount pass remains.
-        """
-        if self.packed.size == 0:
-            return TransitionReport(0, 0, 0, 0, ())
-        diffs = self.packed[1:] ^ self.packed[:-1]
-        lines = self.width + len(self.extra_names)
-        lanes = diffs.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-        bit_table = np.unpackbits(
-            np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
-        ).astype(np.int64)
-        counts = np.empty(64, dtype=np.int64)
-        for lane in range((lines + 7) // 8):
-            histogram = np.bincount(
-                np.ascontiguousarray(lanes[:, lane]), minlength=256
-            )
-            counts[8 * lane : 8 * lane + 8] = histogram @ bit_table
-        per_line = tuple(int(count) for count in counts[:lines])
-        total = sum(per_line)
-        bus_transitions = sum(per_line[: self.width])
-        return TransitionReport(
-            total=total,
-            bus_transitions=bus_transitions,
-            extra_transitions=total - bus_transitions,
-            cycles=int(diffs.size),
-            per_line=per_line,
+        """The stream's transition report: the packed words folded through
+        :func:`repro.metrics.fast.count_packed`."""
+        return count_packed(
+            self.packed, self.width, self.width + len(self.extra_names)
         )
 
     def to_words(self) -> List[EncodedWord]:

@@ -35,6 +35,7 @@ from repro.core.base import Codec
 from repro.core.word import EncodedWord
 from repro.metrics.fast import (
     _as_u64,
+    _scalar_oracle,
     binary_reference_report,
     count_transitions_fast,
     in_sequence_fraction_fast,
@@ -234,8 +235,13 @@ def _compute_binary_reference(cell: Cell) -> Dict[str, Any]:
     with obs_span(
         "count", codec="binary", cycles=len(cell.addresses)
     ):
-        # One uint64 conversion serves both statistics.
-        addresses = _as_u64(cell.addresses)
+        # One uint64 conversion serves both statistics; a stream too wide
+        # to pack goes to them as it is.
+        addresses = (
+            cell.addresses
+            if _scalar_oracle(cell.width)
+            else _as_u64(cell.addresses)
+        )
         report = binary_reference_report(addresses, width=cell.width)
         in_sequence = in_sequence_fraction_fast(addresses, cell.stride)
     return {"report": report_to_payload(report), "in_sequence": in_sequence}

@@ -25,6 +25,7 @@ from repro.rtl.netlist import SimulationResult
 from repro.rtl.pads import PAD_INPUT_CAP, OutputPadBank
 from repro.rtl.power import estimate_from_simulation
 from repro.tracegen import get_profile, multiplexed_trace
+from repro.tracegen.trace import AddressTrace
 
 #: Load sweeps (farads).  The paper's exact grid did not survive in the
 #: available text; these spans match its stated ranges (on-chip "up to
@@ -63,6 +64,19 @@ def simulate_codecs(
     The per-codec gate-level simulations run as ``power-sim`` cells on
     ``config``'s engine (an :class:`repro.engine.ExecutionConfig`; None
     means a plain ``ExecutionConfig()``: one in-process worker, no cache).
+    """
+    trace = multiplexed_trace(get_profile(benchmark), length)
+    return _power_runs(trace, codes, width, config)
+
+
+def _power_runs(
+    trace: AddressTrace,
+    codes: Sequence[str],
+    width: int,
+    config: Optional["ExecutionConfig"] = None,
+) -> Dict[str, CodecPowerRun]:
+    """Each codec circuit over ``trace``, as one ``power-sim`` cell apiece.
+
     A cell payload carries only the cycle/toggle counts the power
     estimator reads; the deterministic netlists are rebuilt here, so the
     power figures are identical under every config (the per-cycle output
@@ -71,13 +85,12 @@ def simulate_codecs(
     # Imported here: repro.engine.cells imports repro.metrics.
     from repro.engine import METRIC_POWER, ExecutionConfig, make_cell
 
-    trace = multiplexed_trace(get_profile(benchmark), length)
     cells = [
         make_cell(
             METRIC_POWER,
-            benchmark,
+            trace.name,
             trace.addresses,
-            trace.sels,
+            trace.effective_sels(),
             width=width,
             codec_name=name,
         )

@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from repro.metrics import count_transitions
-from repro.rtl.codecs import DECODER_BUILDERS, ENCODER_BUILDERS
+from repro.experiments.power_tables import _power_runs
 from repro.rtl.pads import PAD_INPUT_CAP, OutputPadBank
 from repro.rtl.power import estimate_from_simulation
 from repro.tracegen.trace import AddressTrace
@@ -49,32 +48,29 @@ def explore_design_space(
     codes: Sequence[str] = ("binary", "t0", "bus-invert", "dualt0", "dualt0bi"),
     width: int = 32,
 ) -> List[DesignPoint]:
-    """Evaluate every codec circuit on ``trace`` across a load sweep."""
+    """Evaluate every codec circuit on ``trace`` across a load sweep.
+
+    The circuits run as the ``power-sim`` cells of Tables 8–9, on a plain
+    in-process :class:`repro.engine.ExecutionConfig`.
+    """
     if not loads:
         raise ValueError("need at least one load point")
-    sels = trace.effective_sels()
+    runs = _power_runs(trace, codes, width)
     points: List[DesignPoint] = []
     for name in codes:
-        encoder = ENCODER_BUILDERS[name](width)
-        enc_result, words = encoder.run(trace.addresses, sels)
-        decoder = DECODER_BUILDERS[name](width)
-        dec_result, decoded = decoder.run(words, sels)
-        if list(decoded) != list(trace.addresses):
-            raise AssertionError(f"{name} circuit roundtrip failed")
-        activity = count_transitions(words, width=width).per_cycle
-        lines = width + words[0].extra_count
+        run = runs[name]
+        encoder = run.encoder_result.netlist
+        decoder = run.decoder_result.netlist
         encoder_power = estimate_from_simulation(
-            enc_result, output_load=PAD_INPUT_CAP
+            run.encoder_result, output_load=PAD_INPUT_CAP
         ).total
         decoder_power = estimate_from_simulation(
-            dec_result, output_load=0.1e-12
+            run.decoder_result, output_load=0.1e-12
         ).total
-        path = max(
-            encoder.netlist.critical_path_ns(),
-            decoder.netlist.critical_path_ns(),
-        )
+        path = max(encoder.critical_path_ns(), decoder.critical_path_ns())
+        activity = run.encoded_transitions_per_cycle
         for load in loads:
-            pad_power = OutputPadBank(lines, load).power(activity)
+            pad_power = OutputPadBank(run.line_count, load).power(activity)
             points.append(
                 DesignPoint(
                     codec_name=name,
@@ -82,8 +78,8 @@ def explore_design_space(
                     global_power_w=pad_power + encoder_power + decoder_power,
                     pad_power_w=pad_power,
                     codec_power_w=encoder_power + decoder_power,
-                    encoder_gates=encoder.netlist.gate_count,
-                    decoder_gates=decoder.netlist.gate_count,
+                    encoder_gates=encoder.gate_count,
+                    decoder_gates=decoder.gate_count,
                     critical_path_ns=path,
                     bus_activity=activity,
                 )

@@ -10,13 +10,10 @@ from repro.metrics.report import (
 )
 from repro.metrics.fast import (
     binary_reference_report,
-    binary_transitions_fast,
     count_transitions_fast,
     hamming_matrix,
     in_sequence_fraction_fast,
-    line_activity_fast,
     pack_words,
-    transition_profile_fast,
 )
 from repro.metrics.stats import (
     StreamStatistics,
@@ -45,15 +42,12 @@ __all__ = [
     "address_entropy",
     "binary_reference_report",
     "binary_transitions",
-    "binary_transitions_fast",
     "compare_codecs",
     "count_transitions_fast",
     "hamming_matrix",
     "pack_words",
     "in_sequence_fraction_fast",
-    "line_activity_fast",
     "line_activity_profile",
-    "transition_profile_fast",
     "count_transitions",
     "in_sequence_fraction",
     "instruction_slot_sequence_fraction",

@@ -1,10 +1,12 @@
-"""numpy-accelerated bulk metrics for long traces.
+"""numpy-accelerated transition counting and stream statistics.
 
-The pure-Python encoders are the reference implementations; for
-million-cycle traces the raw stream statistics (binary transitions,
-per-line activities, in-sequence fractions) dominate analysis time.  These
-vectorised equivalents are validated against the scalar versions in the
-test suite and used by the CLI for large trace files.
+:func:`count_packed` is the one vectorised transition counter: every
+:class:`~repro.metrics.transitions.TransitionReport` the engine cells and
+the columnar kernels produce is a fold of packed uint64 words through it.
+The scalar :func:`~repro.metrics.transitions.count_transitions` and
+:func:`~repro.metrics.stats.in_sequence_fraction` are the oracles the
+test suite checks this module against; they also count the streams wider
+than 64 lines (:func:`_scalar_oracle`).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.core.word import EncodedWord
+from repro.metrics.stats import in_sequence_fraction
 from repro.metrics.transitions import TransitionReport, count_transitions
 
 ArrayLike = Union[Sequence[int], np.ndarray]
@@ -30,6 +33,10 @@ def _as_u64(addresses: ArrayLike, width: Optional[int] = None) -> np.ndarray:
     offending value in stream order.
     """
     array = np.asarray(addresses)
+    if array.dtype.kind == "f" and not isinstance(addresses, np.ndarray):
+        # Python ints past 2**63 next to smaller ones widen to float64 and
+        # lose their low bits; an object array keeps them exact.
+        array = np.array(addresses, dtype=object)
     if array.ndim != 1:
         raise ValueError(f"expected a 1-D address array, got shape {array.shape}")
     if array.dtype == np.uint64:
@@ -76,55 +83,84 @@ def _popcount(values: np.ndarray) -> np.ndarray:
     return ((v * h01) >> np.uint64(56)).astype(np.int64)
 
 
-def binary_transitions_fast(addresses: ArrayLike) -> int:
-    """Total transitions of a plain-binary stream (matches
-    :func:`repro.metrics.binary_transitions`)."""
-    array = _as_u64(addresses)
-    if array.size < 2:
-        return 0
-    return int(_popcount(array[1:] ^ array[:-1]).sum())
+def _scalar_oracle(lines: int) -> bool:
+    """Whether a stream of ``lines`` wires is counted by the scalar oracle.
+
+    The one place the vectorised entry points choose the scalar oracle
+    (:func:`~repro.metrics.transitions.count_transitions`,
+    :func:`~repro.metrics.stats.in_sequence_fraction`) over the packed
+    path: one uint64 holds at most 64 wires, so a wider stream has no
+    packed form.  :func:`count_packed` itself never falls back; it raises.
+    """
+    return lines > 64
 
 
-def transition_profile_fast(addresses: ArrayLike) -> np.ndarray:
-    """Per-cycle transition counts of a plain-binary stream."""
-    array = _as_u64(addresses)
-    if array.size < 2:
-        return np.zeros(0, dtype=np.int64)
-    return _popcount(array[1:] ^ array[:-1])
+def _address_lines(addresses: ArrayLike) -> int:
+    """Lines a bare address stream needs: its widest address's bit length
+    (at most 64 for a numeric numpy array)."""
+    if isinstance(addresses, np.ndarray) and addresses.dtype != object:
+        return 64
+    return int(max(addresses, default=0)).bit_length()
 
 
 def in_sequence_fraction_fast(addresses: ArrayLike, stride: int = 4) -> float:
-    """Vectorised in-sequence fraction (matches the scalar metric)."""
+    """Vectorised :func:`repro.metrics.in_sequence_fraction` (identical
+    output)."""
+    if _scalar_oracle(_address_lines(addresses)):
+        return in_sequence_fraction(addresses, stride)
     array = _as_u64(addresses)
     if array.size < 2:
         return 0.0
-    hits = np.count_nonzero(array[1:] == array[:-1] + np.uint64(stride))
+    step = np.uint64(stride)
+    following = array[1:]
+    # ``>= step`` drops sums that wrapped past 2**64 - 1: the scalar
+    # metric compares unbounded integers.
+    hits = np.count_nonzero(
+        (following == array[:-1] + step) & (following >= step)
+    )
     return float(hits) / (array.size - 1)
 
 
-def _per_line_counts(diffs: np.ndarray, lines: int) -> np.ndarray:
-    """How many entries of ``diffs`` have each of the low ``lines`` bits set.
+def count_packed(packed: np.ndarray, width: int, lines: int) -> TransitionReport:
+    """The transition report of a packed stream: per-line toggle counts of
+    its XOR-diff words.
 
-    Unpacks the 64-bit diff words into a (cycles, 64) bit matrix in one
-    numpy pass — no per-bit Python loop — and sums the columns.
+    ``packed[t]`` holds cycle ``t``'s wires as
+    :meth:`~repro.core.word.EncodedWord.packed` lays them out: the
+    ``width`` bus bits low and redundant lines above, ``lines`` wires in
+    all; bits at or above ``lines`` are not wires and are not counted.
+    Per-line counts come from one 256-bin ``bincount`` per byte lane of
+    the diffs, folded through a 256x8 table of each byte's bits.  The
+    totals are sums of the per-line counts, since every toggle is a toggle
+    of exactly one line.  Raises ``ValueError`` for more than 64 lines.
     """
-    if diffs.size == 0:
-        return np.zeros(lines, dtype=np.int64)
-    bit_matrix = np.unpackbits(
-        diffs.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8),
-        axis=1,
-        bitorder="little",
+    if lines > 64:
+        raise ValueError(f"cannot count {lines} lines in packed 64-bit words")
+    if packed.size == 0:
+        return TransitionReport(0, 0, 0, 0, ())
+    diffs = packed[1:] ^ packed[:-1]
+    lanes = diffs.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    # byte_bits[v, j] is bit j of byte value v (built per call: no
+    # module-global state on the worker path).
+    byte_bits = np.unpackbits(
+        np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
+    ).astype(np.int64)
+    counts = np.empty(64, dtype=np.int64)
+    for lane in range((lines + 7) // 8):
+        histogram = np.bincount(
+            np.ascontiguousarray(lanes[:, lane]), minlength=256
+        )
+        counts[8 * lane : 8 * lane + 8] = histogram @ byte_bits
+    per_line = tuple(int(count) for count in counts[:lines])
+    total = sum(per_line)
+    bus_transitions = sum(per_line[:width])
+    return TransitionReport(
+        total=total,
+        bus_transitions=bus_transitions,
+        extra_transitions=total - bus_transitions,
+        cycles=int(diffs.size),
+        per_line=per_line,
     )
-    return bit_matrix.sum(axis=0, dtype=np.int64)[:lines]
-
-
-def line_activity_fast(addresses: ArrayLike, width: int = 32) -> np.ndarray:
-    """Per-line transitions/cycle of a plain-binary stream, LSB first."""
-    array = _as_u64(addresses)
-    if array.size < 2:
-        return np.zeros(width, dtype=np.float64)
-    diffs = array[1:] ^ array[:-1]
-    return _per_line_counts(diffs, width) / float(array.size - 1)
 
 
 def pack_words(words: Sequence[EncodedWord], width: int = 32) -> np.ndarray:
@@ -158,68 +194,30 @@ def count_transitions_fast(
     width: int = 32,
     initial: Optional[EncodedWord] = None,
 ) -> TransitionReport:
-    """Vectorised :func:`repro.metrics.count_transitions` (identical output).
-
-    Falls back to the scalar counter when the wire count exceeds the 64-bit
-    packing limit.
-    """
+    """Vectorised :func:`repro.metrics.count_transitions` (identical output)."""
     if not words:
         return TransitionReport(0, 0, 0, 0, ())
-    extra_count = words[0].extra_count
-    lines = width + extra_count
-    if lines > 64 or (initial is not None and width + initial.extra_count > 64):
+    lines = width + words[0].extra_count
+    if _scalar_oracle(lines):
         return count_transitions(words, width=width, initial=initial)
-    packed = pack_words(words, width=width)
-    if initial is not None:
-        packed = np.concatenate(
-            [np.array([initial.packed(width)], dtype=np.uint64), packed]
-        )
-    diffs = packed[1:] ^ packed[:-1]
-    total = int(_popcount(diffs).sum())
-    bus_mask = np.uint64((1 << width) - 1) if width < 64 else ~np.uint64(0)
-    bus_transitions = int(_popcount(diffs & bus_mask).sum())
-    per_line = _per_line_counts(diffs, lines)
-    return TransitionReport(
-        total=total,
-        bus_transitions=bus_transitions,
-        extra_transitions=total - bus_transitions,
-        cycles=int(diffs.size),
-        per_line=tuple(int(count) for count in per_line),
-    )
+    stream = words if initial is None else [initial, *words]
+    return count_packed(pack_words(stream, width=width), width, lines)
 
 
 def binary_reference_report(
     addresses: ArrayLike, width: int = 32
 ) -> TransitionReport:
-    """The plain-binary reference of a comparison row, fully vectorised.
-
-    Equal to ``count_transitions([EncodedWord(a) for a in addresses], width)``
-    without materialising any :class:`EncodedWord`.
-    """
-    array = _as_u64(addresses)
-    if array.size == 0:
-        return TransitionReport(0, 0, 0, 0, ())
-    if width > 64:
+    """The plain-binary reference of a comparison row: equal to
+    ``count_transitions([EncodedWord(a) for a in addresses], width)``
+    without materialising any :class:`EncodedWord` (on up to 64 lines)."""
+    if _scalar_oracle(width):
         return count_transitions(
-            [EncodedWord(int(address)) for address in np.asarray(addresses)],
-            width=width,
+            [EncodedWord(int(address)) for address in addresses], width=width
         )
-    if width < 64:
-        array = array & np.uint64((1 << width) - 1)
-    diffs = array[1:] ^ array[:-1]
-    total = int(_popcount(diffs).sum())
-    per_line = _per_line_counts(diffs, width)
-    return TransitionReport(
-        total=total,
-        bus_transitions=total,
-        extra_transitions=0,
-        cycles=int(diffs.size),
-        per_line=tuple(int(count) for count in per_line),
-    )
+    return count_packed(_as_u64(addresses), width, width)
 
 
 def hamming_matrix(values: ArrayLike) -> np.ndarray:
-    """Pairwise Hamming-distance matrix of a small address set (used by the
-    mapping and clustering analyses)."""
+    """Pairwise Hamming-distance matrix of a small address set."""
     array = _as_u64(values)
     return _popcount(array[:, None] ^ array[None, :])

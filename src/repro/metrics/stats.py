@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.base import SEL_INSTRUCTION
-from repro.core.word import hamming
+from repro.core.word import EncodedWord, hamming
+from repro.metrics.transitions import count_transitions
 
 
 def in_sequence_fraction(
@@ -127,17 +128,9 @@ def line_activity_profile(
     """
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
-    counts = [0] * width
-    for prev, cur in zip(addresses, addresses[1:]):
-        diff = prev ^ cur
-        while diff:
-            low = diff & -diff
-            position = low.bit_length() - 1
-            if position < width:
-                counts[position] += 1
-            diff ^= low
-    cycles = max(len(addresses) - 1, 1)
-    return [count / cycles for count in counts]
+    report = count_transitions([EncodedWord(a) for a in addresses], width=width)
+    cycles = max(report.cycles, 1)
+    return [count / cycles for count in report.per_line or [0] * width]
 
 
 def address_entropy(addresses: Sequence[int]) -> float:

@@ -35,6 +35,10 @@ _REASONS = {
 }
 
 
+class PayloadTooLarge(ValueError):
+    """A request declared a body past :data:`MAX_BODY_BYTES` (answered 413)."""
+
+
 def json_response(
     status: int,
     payload: Dict[str, Any],
@@ -59,7 +63,8 @@ def _encode(status: int, payload: Dict[str, Any], headers: Dict[str, str]) -> by
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> Tuple[str, str, bytes]:
-    """Parse one request; raises ValueError on anything malformed."""
+    """Parse one request; raises ValueError on anything malformed, and
+    :class:`PayloadTooLarge` before reading an oversize body."""
     request_line = await reader.readline()
     if not request_line:
         raise ConnectionError("client closed before sending a request")
@@ -80,7 +85,9 @@ async def _read_request(
             except ValueError as error:
                 raise ValueError(f"bad Content-Length: {value!r}") from error
     if content_length > MAX_BODY_BYTES:
-        raise ValueError(f"body of {content_length} bytes exceeds the limit")
+        raise PayloadTooLarge(
+            f"body of {content_length} bytes exceeds the limit"
+        )
     body = (
         await reader.readexactly(content_length) if content_length else b""
     )
@@ -99,7 +106,8 @@ async def serve_connection(
         except ConnectionError:
             return
         except (ValueError, asyncio.IncompleteReadError) as error:
-            writer.write(_encode(400, {"error": str(error)}, {}))
+            status = 413 if isinstance(error, PayloadTooLarge) else 400
+            writer.write(_encode(status, {"error": str(error)}, {}))
             await writer.drain()
             return
         try:

@@ -11,6 +11,8 @@ the reference path with identical payloads.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,8 +38,8 @@ from repro.engine import (
 )
 from repro.engine import cache as engine_cache
 from repro.engine.cells import chunked_encode
-from repro.metrics import compare_codecs
-from repro.metrics.fast import _as_u64, count_transitions_fast, pack_words
+from repro.metrics import compare_codecs, count_transitions
+from repro.metrics.fast import _as_u64, count_packed, pack_words
 from repro.obs import metrics as obs_metrics
 
 from tests.conftest import make_mixed_stream, oracle_row
@@ -129,11 +131,14 @@ class TestBitIdentity:
     @pytest.mark.parametrize("name", KERNEL_CODECS)
     @pytest.mark.parametrize("pattern", sorted(SEL_PATTERNS))
     def test_report_matches_fast_counter(self, name, pattern):
-        addresses, sels = _stream(pattern)
-        codec = _kernel_codec(name)
-        result = kernels.encode_stream_kernel(codec, addresses, sels)
-        words = codec.make_encoder().encode_stream(addresses, sels)
-        assert result.report() == count_transitions_fast(words, width=32)
+        """``KernelResult.report`` (the packed fold behind every fast
+        counter) equals the scalar ``count_transitions`` oracle."""
+        for width in WIDTHS:
+            addresses, sels = _stream(pattern, width=width)
+            codec = _kernel_codec(name, width)
+            result = kernels.encode_stream_kernel(codec, addresses, sels)
+            words = codec.make_encoder().encode_stream(addresses, sels)
+            assert result.report() == count_transitions(words, width=width)
 
     @pytest.mark.parametrize("name", DECODE_CODECS)
     @pytest.mark.parametrize("width", WIDTHS)
@@ -358,6 +363,15 @@ class TestAsU64Validation:
         with pytest.raises(ValueError, match="8-bit bus"):
             _as_u64(np.array([0x100], dtype=np.uint64), width=8)
 
+    def test_wide_python_ints_stay_exact(self):
+        # np.asarray alone turns [1, 2**63 + 1] into float64 (2**63 + 1
+        # rounds to 2**63).
+        assert _as_u64([1, (1 << 63) + 1]).tolist() == [1, (1 << 63) + 1]
+
+    def test_fold_rejects_more_than_64_lines(self):
+        with pytest.raises(ValueError, match="65 lines"):
+            count_packed(np.zeros(2, dtype=np.uint64), width=64, lines=65)
+
 
 class TestStreamShims:
     """The module-level encode/decode shims accept generators (bugfix:
@@ -424,6 +438,26 @@ class TestEngineRouting:
                 codecs, addresses, sels, benchmark="b", config=config
             )
             assert row == expected
+
+    @pytest.mark.parametrize("width", (1, 63, 64, 65, 80))
+    def test_compare_codecs_matches_oracle_at_every_width(self, width):
+        """Rows on 1..64 lines come from the packed fold, wider ones from
+        the scalar oracle; both equal ``oracle_row``.  The width-64 stream
+        wraps from 2**64 - 4 to 0 (not in sequence) and mixes addresses
+        past 2**63 with small ones; the width-80 one crosses 2**64."""
+        rng = random.Random(width)
+        top = 1 << width
+        addresses = []
+        for _ in range(10):
+            start = rng.randrange(top)
+            addresses.extend((start + 4 * step) % top for step in range(5))
+        if width == 64:
+            addresses[10:14] = [top - 8, top - 4, 0, 5]
+        if width == 80:
+            assert any(address >= 1 << 64 for address in addresses)
+        codecs = [make_codec(name, width) for name in ("t0", "bus-invert", "gray")]
+        row = compare_codecs(codecs, addresses)
+        assert row == oracle_row(codecs, addresses)
 
     def test_engine_payloads_match_across_flag(self):
         addresses, sels = _stream("mixed")

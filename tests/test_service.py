@@ -41,6 +41,7 @@ from repro.service import (
     table_text_via_service,
     trace_digest,
 )
+from repro.service.http import MAX_BODY_BYTES, start_http_server
 from tests.conftest import make_mixed_stream
 
 ADDRESSES, SELS = make_mixed_stream(length=120)
@@ -464,6 +465,49 @@ class TestEvaluationService:
             assert status == 202 and payload["deduped"] is True
 
         asyncio.run(scenario())
+
+
+def _raw_exchange(port, request):
+    """Send raw request bytes and read the whole response."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(4096):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+@pytest.mark.parametrize(
+    "length, status",
+    [
+        (str(MAX_BODY_BYTES + 1), b"413 Payload Too Large"),
+        ("lots", b"400 Bad Request"),
+    ],
+)
+def test_http_rejects_bad_content_length_before_reading(length, status):
+    """An oversize declared body is answered 413 without waiting for it (no
+    body is sent); a malformed length stays a 400.  The handler never runs."""
+
+    async def handler(method, target, body):
+        raise AssertionError("a rejected request reached the handler")
+
+    async def scenario():
+        server = await start_http_server(handler, "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        request = (
+            f"POST /v1/jobs HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+        ).encode("ascii")
+        try:
+            return await asyncio.get_running_loop().run_in_executor(
+                None, _raw_exchange, port, request
+            )
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    response = asyncio.run(scenario())
+    assert response.split(b"\r\n", 1)[0] == b"HTTP/1.1 " + status
+    assert b'"error"' in response
 
 
 def _free_port():
