@@ -117,6 +117,29 @@ EOF
 }
 run_step "perfbench entry-point guard (tables-cold --trace 1)" perfbench_smoke
 
+# The same guard for the gate-simulation entry points: a traced power-gzip
+# pass must render Tables 8-9 correctly and count all 19,560 cycles.
+perfbench_power_smoke() {
+    local workdir
+    workdir="$(mktemp -d)" || return 1
+    python3 perfbench/run.py --workload power-gzip --seed 1 --seconds 1 \
+            --trace 1 > "$workdir/perfbench.txt" \
+        && python - "$workdir/perfbench.txt" <<'EOF'
+import json
+import sys
+
+with open(sys.argv[1]) as fh:
+    last = json.loads(fh.read().splitlines()[-1])
+assert last["correct"] is True, last
+cycles = last["metrics"]["rtl.simulated_cycles"]["value"]
+assert cycles == 19560, cycles
+EOF
+    local status=$?
+    rm -rf "$workdir"
+    return $status
+}
+run_step "perfbench entry-point guard (power-gzip --trace 1)" perfbench_power_smoke
+
 # The columnar kernels must stay bit-identical to the reference path
 # and keep clearing the cold-encode speedup floor.
 if python -c "import pytest_benchmark" >/dev/null 2>&1; then

@@ -109,8 +109,6 @@ def _power_runs(
                 cycles=payload[side]["cycles"],
                 outputs=[],
                 net_toggles=list(payload[side]["net_toggles"]),
-                gate_output_toggles=[],
-                flop_output_toggles=[],
             )
             for side in ("encoder", "decoder")
         }

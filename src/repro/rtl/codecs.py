@@ -19,7 +19,10 @@ of Tables 8/9 are measured on hardware that provably implements the codes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.base import SEL_INSTRUCTION
 from repro.core.word import EncodedWord
@@ -28,15 +31,47 @@ from repro.rtl.gates import AND2, INV, OR2, XOR2
 from repro.rtl.netlist import Netlist, NetId, SimulationResult
 
 
-def _int_to_bits(value: int, width: int) -> List[int]:
-    return [(value >> i) & 1 for i in range(width)]
+def _word_bits(values: Sequence[int], width: int, what: str) -> np.ndarray:
+    """``values`` as a cycles x ``width`` 0/1 matrix, LSB first.
+
+    Raises ``ValueError`` naming the first value that is negative or needs
+    more than ``width`` bits, instead of silently dropping its high bits.
+    """
+    limit = 1 << width
+    if len(values) and (min(values) < 0 or max(values) >= limit):
+        index, value = next(
+            (i, v) for i, v in enumerate(values) if not 0 <= v < limit
+        )
+        raise ValueError(
+            f"{what} {value:#x} at index {index} does not fit in {width} bits"
+        )
+    dtype = np.uint64 if width <= 64 else object
+    words = np.asarray(values, dtype=dtype).reshape(-1, 1)
+    return ((words >> np.arange(width).astype(dtype)) & 1).astype(np.uint8)
 
 
-def _bits_to_int(bits: Sequence[int]) -> int:
-    value = 0
-    for index, bit in enumerate(bits):
-        value |= bit << index
-    return value
+def _bits_to_ints(bits: np.ndarray) -> List[int]:
+    """Each row of a 0/1 matrix (LSB first) as an int."""
+    width = bits.shape[1]
+    dtype = np.uint64 if width <= 64 else object
+    weights = np.array([1 << i for i in range(width)], dtype=dtype)
+    return (bits.astype(dtype) * weights).sum(axis=1).tolist()
+
+
+def _output_matrix(result: SimulationResult) -> np.ndarray:
+    """The per-cycle output tuples as a cycles x outputs 0/1 matrix."""
+    flat = bytes(chain.from_iterable(result.outputs))
+    shape = (result.cycles, len(result.netlist.outputs))
+    return np.frombuffer(flat, dtype=np.uint8).reshape(shape)
+
+
+def _sel_column(sels: Optional[Sequence[int]], cycles: int) -> np.ndarray:
+    """The ``SEL`` input column; ``None`` means all-instruction."""
+    if sels is None:
+        return np.full((cycles, 1), SEL_INSTRUCTION, dtype=np.uint8)
+    if len(sels) != cycles:
+        raise ValueError(f"{len(sels)} SEL values for {cycles} cycles")
+    return np.asarray(sels).reshape(cycles, 1)
 
 
 def _output_names(netlist: Netlist) -> List[str]:
@@ -98,20 +133,18 @@ class EncoderCircuit:
         Returns the raw simulation result (for power estimation) and the
         encoded words recovered from the primary outputs.
         """
-        vectors = []
-        for index, address in enumerate(addresses):
-            vector = _int_to_bits(address, self.width)
-            if self.uses_sel:
-                sel = SEL_INSTRUCTION if sels is None else sels[index]
-                vector.append(sel)
-            vectors.append(vector)
-        result = self.netlist.simulate(vectors)
-        words = []
-        extra_count = len(self.extra_lines)
-        for row in result.outputs:
-            bus = _bits_to_int(row[: self.width])
-            extras = tuple(row[self.width : self.width + extra_count])
-            words.append(EncodedWord(bus, extras))
+        sel = _sel_column(sels, len(addresses))
+        width = self.width
+        columns = [_word_bits(addresses, width, "address")]
+        if self.uses_sel:
+            columns.append(sel)
+        result = self.netlist.simulate(np.hstack(columns))
+        outputs = _output_matrix(result)
+        extras = outputs[:, width : width + len(self.extra_lines)].tolist()
+        words = [
+            EncodedWord(bus, tuple(lines))
+            for bus, lines in zip(_bits_to_ints(outputs[:, :width]), extras)
+        ]
         return result, words
 
 
@@ -152,16 +185,25 @@ class DecoderCircuit:
         sels: Optional[Sequence[int]] = None,
     ) -> Tuple[SimulationResult, List[int]]:
         """Simulate the decoder over an encoded word stream."""
-        vectors = []
-        for index, word in enumerate(words):
-            vector = _int_to_bits(word.bus, self.width)
-            vector.extend(word.extras)
-            if self.uses_sel:
-                sel = SEL_INSTRUCTION if sels is None else sels[index]
-                vector.append(sel)
-            vectors.append(vector)
-        result = self.netlist.simulate(vectors)
-        addresses = [_bits_to_int(row[: self.width]) for row in result.outputs]
+        sel = _sel_column(sels, len(words))
+        width = self.width
+        extra_count = len(self.extra_lines)
+        extras = [word.extras for word in words]
+        wrong = [i for i, lines in enumerate(extras) if len(lines) != extra_count]
+        if wrong:
+            raise ValueError(
+                f"word {wrong[0]} carries {len(extras[wrong[0]])} redundant "
+                f"lines, the {self.name} decoder takes {extra_count}"
+            )
+        columns = [
+            _word_bits([word.bus for word in words], width, "bus word"),
+            np.array(extras, dtype=np.uint8).reshape(len(words), extra_count),
+        ]
+        if self.uses_sel:
+            columns.append(sel)
+        result = self.netlist.simulate(np.hstack(columns))
+        outputs = _output_matrix(result)
+        addresses = _bits_to_ints(outputs[:, :width])
         return result, addresses
 
 

@@ -12,12 +12,34 @@ gates settle once in topological order and every net's *final* value is
 compared with the previous cycle's to count toggles.  Glitches are not
 modelled — the same simplification Synopsys' probabilistic mode makes, and a
 conservative one for the codec circuits whose logic depth is small.
+
+The simulator evaluates the cycles bit-parallel.  Over a block of
+:data:`BLOCK_CYCLES` cycles each net is one Python ``int``, a *bit plane*
+whose bit ``t`` is the net's value in cycle ``t``; each gate is one ``&``,
+``|`` or ``^`` over whole planes (NOT is ``^ mask``), and a net's toggle
+count is the popcount of ``plane ^ (plane << 1)`` — the XOR-and-popcount of
+adjacent values, for every net at once.
+
+Flip-flops break the topological order, so their Q planes are found by
+fixed-point iteration: guess Q, sweep the gates, set
+``Q = (D << 1 | q0) & mask`` where ``q0`` is the flop's value in the block's
+first cycle, and repeat until no Q changes.  Bit ``t`` of the new Q depends
+only on bits below ``t`` of the old one, so after ``k`` sweeps cycles
+``< k`` are exact; the fixed point is the scalar trajectory itself, reached
+within ``BLOCK_CYCLES + 1`` sweeps.  Feed-forward state (a previous-address
+register) settles in a few sweeps; bus-invert's INV feedback can settle one
+cycle per sweep, which is why the stream is cut into fixed blocks — the
+worst case stays linear in the stream length.  Each flop's Q and each net's
+last value carry across block boundaries, so the toggle between two blocks
+is counted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.rtl.gates import DFF, GateSpec
 
@@ -285,65 +307,154 @@ class Netlist:
     def simulate(
         self, vectors: Sequence[Sequence[int]]
     ) -> "SimulationResult":
-        """Run cycle-based simulation.
+        """Run cycle-based simulation, one bit-plane block at a time.
 
         ``vectors[t]`` holds the primary-input values of cycle ``t``, in
         :attr:`inputs` order.  Returns per-cycle primary-output values plus
-        per-net toggle counts (including the settled values of cycle 0
-        against the reset state — flops at their init values, everything else
-        evaluated from the first vector).
+        per-net toggle counts between consecutive cycles (flops start at
+        their init values; every other net is evaluated from ``vectors[0]``).
         """
         self.validate()
-        values = [0] * self.net_count
-        for flop in self._flops:
-            values[flop.q] = flop.init
-        if 1 in self._const_nets:
-            values[self._const_nets[1]] = 1
-
+        matrix = self._input_matrix(vectors)
+        cycles = len(matrix)
+        program: List[_Op] = []
+        for gate in self._gates:
+            a, b, c = (gate.inputs + (0, 0))[:3]
+            program.append((gate.spec.name, gate.output, a, b, c))
+        flops = [(flop.d, flop.q) for flop in self._flops]
+        state = [flop.init for flop in self._flops]
+        planes = [0] * self.net_count
+        last = [0] * self.net_count
         toggles = [0] * self.net_count
         output_trace: List[Tuple[int, ...]] = []
-        gate_output_toggles = [0] * len(self._gates)
-        flop_output_toggles = [0] * len(self._flops)
-        previous: Optional[List[int]] = None
 
-        for vector in vectors:
-            if len(vector) != len(self._inputs):
-                raise ValueError(
-                    f"vector has {len(vector)} values for {len(self._inputs)} inputs"
-                )
-            for net, value in zip(self._inputs, vector):
-                if value not in (0, 1):
-                    raise ValueError(f"input values must be 0/1, got {value}")
-                values[net] = value
-            for gate in self._gates:
-                values[gate.output] = gate.spec.evaluate(
-                    tuple(values[i] for i in gate.inputs)
-                )
-            if previous is not None:
-                for net in range(self.net_count):
-                    if values[net] != previous[net]:
-                        toggles[net] += 1
-                for index, gate in enumerate(self._gates):
-                    if values[gate.output] != previous[gate.output]:
-                        gate_output_toggles[index] += 1
-                for index, flop in enumerate(self._flops):
-                    if values[flop.q] != previous[flop.q]:
-                        flop_output_toggles[index] += 1
-            output_trace.append(tuple(values[net] for _, net in self._outputs))
-            previous = list(values)
-            # Clock edge: capture D into Q for the next cycle.
-            next_q = [values[flop.d] for flop in self._flops]  # type: ignore[index]
-            for flop, q_value in zip(self._flops, next_q):
-                values[flop.q] = q_value
+        for start in range(0, cycles, BLOCK_CYCLES):
+            block = matrix[start : start + BLOCK_CYCLES]
+            length = len(block)
+            mask = (1 << length) - 1
+            for net, plane in zip(self._inputs, _pack_columns(block)):
+                planes[net] = plane
+            if 1 in self._const_nets:
+                planes[self._const_nets[1]] = mask
+            _settle(program, flops, state, planes, mask)
+            # Bit t of plane ^ (plane << 1 | last) is a toggle into cycle t;
+            # the very first cycle has no predecessor.
+            edges = mask if start else mask ^ 1
+            for net, plane in enumerate(planes):
+                flips = (plane ^ ((plane << 1) | last[net])) & edges
+                toggles[net] += bin(flips).count("1")  # int.bit_count is 3.10+
+            last = [plane >> (length - 1) for plane in planes]
+            state = [last[d] for d, _ in flops]  # type: ignore[index]
+            output_trace.extend(
+                _unpack_rows([planes[net] for _, net in self._outputs], length)
+            )
 
         return SimulationResult(
             netlist=self,
-            cycles=len(vectors),
+            cycles=cycles,
             outputs=output_trace,
             net_toggles=toggles,
-            gate_output_toggles=gate_output_toggles,
-            flop_output_toggles=flop_output_toggles,
         )
+
+    def _input_matrix(self, vectors: Sequence[Sequence[int]]) -> np.ndarray:
+        """``vectors`` as a cycles x inputs uint8 matrix, checked to be 0/1."""
+        count = len(self._inputs)
+        try:
+            matrix = np.asarray(vectors)
+        except ValueError:  # ragged rows: the scan below names the bad one
+            matrix = np.empty(0)
+        if matrix.shape != (len(vectors), count) or not (
+            (matrix == 0) | (matrix == 1)
+        ).all():
+            for vector in vectors:
+                if len(vector) != count:
+                    raise ValueError(
+                        f"vector has {len(vector)} values for {count} inputs"
+                    )
+                for value in vector:
+                    if value not in (0, 1):
+                        raise ValueError(
+                            f"input values must be 0/1, got {value}"
+                        )
+        return matrix.reshape(len(vectors), count).astype(np.uint8)
+
+
+#: Cycles per bit-plane block.  A block settles in at most
+#: ``BLOCK_CYCLES + 1`` sweeps, so fixed blocks keep the worst case (feedback
+#: that settles one cycle per sweep, as bus-invert's does) linear in the
+#: stream length instead of quadratic.
+BLOCK_CYCLES = 2048
+
+#: One gate as ``(cell name, output net, fanin nets padded to three)``.
+_Op = Tuple[str, NetId, NetId, NetId, NetId]
+
+
+def _sweep(program: List[_Op], planes: List[int], mask: int) -> None:
+    """Evaluate every gate once, in topological order, over whole planes."""
+    for name, out, a, b, c in program:
+        if name == "XOR2":
+            planes[out] = planes[a] ^ planes[b]
+        elif name == "AND2":
+            planes[out] = planes[a] & planes[b]
+        elif name == "MUX2":  # select ? a : b
+            planes[out] = planes[c] ^ (planes[a] & (planes[b] ^ planes[c]))
+        elif name == "OR2":
+            planes[out] = planes[a] | planes[b]
+        elif name == "INV":
+            planes[out] = planes[a] ^ mask
+        elif name == "BUF":
+            planes[out] = planes[a]
+        elif name == "NAND2":
+            planes[out] = (planes[a] & planes[b]) ^ mask
+        elif name == "NOR2":
+            planes[out] = (planes[a] | planes[b]) ^ mask
+        elif name == "XNOR2":
+            planes[out] = planes[a] ^ planes[b] ^ mask
+        else:
+            raise ValueError(f"no bit-plane evaluation for gate {name}")
+
+
+def _settle(
+    program: List[_Op],
+    flops: List[Tuple[Optional[NetId], NetId]],
+    state: List[int],
+    planes: List[int],
+    mask: int,
+) -> None:
+    """Sweep until every flop's Q plane is its D plane delayed one cycle.
+
+    ``state`` holds each flop's Q in the block's first cycle.  Terminates
+    within ``mask.bit_length() + 1`` sweeps (see the module docstring).
+    """
+    for (_, q), bit in zip(flops, state):
+        planes[q] = bit
+    settled = False
+    while not settled:
+        _sweep(program, planes, mask)
+        settled = True
+        for (d, q), bit in zip(flops, state):
+            q_plane = ((planes[d] << 1) | bit) & mask  # type: ignore[index]
+            if q_plane != planes[q]:
+                planes[q] = q_plane
+                settled = False
+
+
+def _pack_columns(block: np.ndarray) -> List[int]:
+    """Each column of a cycles x nets 0/1 matrix as an int, bit t = row t."""
+    packed = np.ascontiguousarray(np.packbits(block, axis=0, bitorder="little").T)
+    return [int.from_bytes(column.tobytes(), "little") for column in packed]
+
+
+def _unpack_rows(planes: List[int], length: int) -> List[Tuple[int, ...]]:
+    """Inverse of :func:`_pack_columns`: per-cycle tuples of plane bits."""
+    if not planes:
+        return [()] * length
+    size = (length + 7) // 8
+    packed = np.frombuffer(
+        b"".join(plane.to_bytes(size, "little") for plane in planes), dtype=np.uint8
+    ).reshape(len(planes), size)
+    bits = np.unpackbits(packed, axis=1, count=length, bitorder="little")
+    return list(zip(*bits.tolist()))
 
 
 @dataclass
@@ -354,8 +465,6 @@ class SimulationResult:
     cycles: int
     outputs: List[Tuple[int, ...]]
     net_toggles: List[int]
-    gate_output_toggles: List[int]
-    flop_output_toggles: List[int]
 
     def output_words(self) -> List[Dict[str, int]]:
         """Per-cycle primary outputs as name → value dictionaries."""
