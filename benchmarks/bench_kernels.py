@@ -1,4 +1,4 @@
-"""The columnar kernels vs the steppable reference path on a 1M trace.
+"""The columnar kernels vs the per-cycle reference encoder on a 1M trace.
 
 The cold encode path is the engine's bottleneck: one million addresses
 through the per-cycle reference encoder take seconds per codec, while the
@@ -9,7 +9,7 @@ seeded million-address mixed stream:
 * the kernel's packed stream is **bit-identical** to the reference
   encoder's, and its transition report equals the reference counter's;
 * the kernel path is at least ``MIN_SPEEDUP_T0``x faster than the
-  chunked reference path on the t0 code (and ``MIN_SPEEDUP_ANY``x on
+  reference ``encode_stream`` on the t0 code (and ``MIN_SPEEDUP_ANY``x on
   every measured codec);
 * Table 2 renders **byte-identically** with kernels on, kernels off and
   no engine at all.
@@ -25,8 +25,8 @@ import time
 import numpy as np
 
 from repro.core import kernels, make_codec
+from repro.core.base import encode_stream
 from repro.engine import ExecutionConfig
-from repro.engine.cells import DEFAULT_CHUNK_SIZE, chunked_encode
 from repro.experiments import table2
 from repro.metrics.fast import count_transitions_fast, pack_words
 
@@ -85,9 +85,7 @@ def test_kernel_speedup_and_bit_identity(results_dir, benchmark):
         kernel_s += count_s
 
         def reference():
-            words = chunked_encode(
-                codec, address_list, sel_list, DEFAULT_CHUNK_SIZE
-            )
+            words = encode_stream(codec, address_list, sel_list)
             return words, count_transitions_fast(words, width=32)
 
         (words, reference_report), reference_s = _timed(reference)

@@ -70,6 +70,21 @@ engine_smoke() {
 }
 run_step "engine smoke (tables 2 --jobs 2)" engine_smoke
 
+# Codec cells without a kernel run encode_stream inside pool workers:
+# Table 7's sel-dependent dual codes must render byte-identically.
+fallback_smoke() {
+    local workdir
+    workdir="$(mktemp -d)" || return 1
+    python -m repro table 7 --length 800 > "$workdir/seq.txt" \
+        && python -m repro tables 7 --length 800 --jobs 2 --no-kernels \
+            --no-cache > "$workdir/fallback.txt" 2>/dev/null \
+        && diff "$workdir/seq.txt" "$workdir/fallback.txt"
+    local status=$?
+    rm -rf "$workdir"
+    return $status
+}
+run_step "fallback smoke (tables 7 --no-kernels --jobs 2)" fallback_smoke
+
 # A profiled table run charges each span once: its stage times may not
 # add up to more than the run's total wall time.
 profile_smoke() {
@@ -140,8 +155,8 @@ EOF
 }
 run_step "perfbench entry-point guard (power-gzip --trace 1)" perfbench_power_smoke
 
-# The columnar kernels must stay bit-identical to the reference path
-# and keep clearing the cold-encode speedup floor.
+# The columnar kernels must stay bit-identical to encode_stream and keep
+# clearing the cold-encode speedup floor.
 if python -c "import pytest_benchmark" >/dev/null 2>&1; then
     run_step "kernel speedup (bench_kernels)" \
         python -m pytest -q --benchmark-disable benchmarks/bench_kernels.py

@@ -32,7 +32,6 @@ from repro.core import (
     BusDecoder,
     BusEncoder,
     Codec,
-    CodecState,
     EncodedWord,
     available_codecs,
     decode_stream,
@@ -55,7 +54,6 @@ __all__ = [
     "BusEncoder",
     "BusPowerModel",
     "Codec",
-    "CodecState",
     "EncodedWord",
     "TransitionReport",
     "available_codecs",

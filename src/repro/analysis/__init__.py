@@ -35,7 +35,6 @@ from repro.analysis.activity import (
     tolerances_for,
 )
 from repro.analysis.contracts import (
-    check_all_codecs,
     check_codec,
     explore_state_space,
     small_width_params,
@@ -46,7 +45,6 @@ from repro.analysis.report import (
     Finding,
     Severity,
     summarize,
-    worst_severity,
 )
 
 __all__ = [
@@ -58,7 +56,6 @@ __all__ = [
     "Severity",
     "analyze_netlist",
     "check_agreement",
-    "check_all_codecs",
     "check_codec",
     "compare_with_simulation",
     "explore_state_space",
@@ -70,5 +67,4 @@ __all__ = [
     "small_width_params",
     "summarize",
     "tolerances_for",
-    "worst_severity",
 ]

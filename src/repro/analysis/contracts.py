@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.report import AnalysisReport, Severity
 from repro.core.base import BusDecoder, BusEncoder
-from repro.core.registry import available_codecs, make_codec
+from repro.core.registry import make_codec
 
 #: Exploration width: small enough to enumerate, wide enough that every
 #: code's special cases (majority votes, zone hits, sector moves) occur.
@@ -455,13 +455,3 @@ def replay_formal_counterexamples(
     return report
 
 
-def check_all_codecs(
-    width: int = DEFAULT_EXPLORATION_WIDTH,
-    max_states: int = DEFAULT_MAX_STATES,
-    names: Optional[List[str]] = None,
-) -> List[AnalysisReport]:
-    """Contract-check every registered codec (or ``names``)."""
-    return [
-        check_codec(name, width=width, max_states=max_states)
-        for name in (names if names is not None else available_codecs())
-    ]

@@ -39,7 +39,6 @@ from repro.analysis.formal.prove import (
     ProveOptions,
     collect_replays,
     crosscheck_spec,
-    prove_all,
     prove_codec,
 )
 from repro.analysis.formal.sat import SatBudgetExceeded, SatSolver
@@ -88,7 +87,6 @@ __all__ = [
     "lift",
     "lift_circuit",
     "protocol_properties",
-    "prove_all",
     "prove_codec",
     "tseitin",
 ]

@@ -384,17 +384,6 @@ def prove_codec(
     return report
 
 
-def prove_all(
-    names: Optional[Sequence[str]] = None,
-    options: Optional[ProveOptions] = None,
-) -> List[AnalysisReport]:
-    """Prove every codec with gate-level circuits (or just ``names``)."""
-    return [
-        prove_codec(name, options)
-        for name in (names if names is not None else FORMAL_CODECS)
-    ]
-
-
 def collect_replays(
     reports: Sequence[AnalysisReport],
 ) -> List[Dict[str, object]]:

@@ -142,7 +142,3 @@ def summarize(reports: Iterable[AnalysisReport]) -> Dict[str, int]:
     return totals
 
 
-def worst_severity(reports: Iterable[AnalysisReport]) -> Optional[Severity]:
-    """The worst severity present in any report (None when all clean)."""
-    severities = [f.severity for r in reports for f in r.findings]
-    return max(severities) if severities else None

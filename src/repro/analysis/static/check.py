@@ -70,7 +70,6 @@ def default_config() -> ProjectConfig:
         registry_modules=("repro.core.registry",),
         specs_module="repro.analysis.formal.specs",
         contracts_module="repro.analysis.contracts",
-        matrix_modules=("tests.test_step_api",),
     )
 
 
@@ -151,7 +150,6 @@ def run_check(
     config: Optional[ProjectConfig] = None,
     baseline_path: Optional[Path] = None,
     rules: Optional[Sequence[str]] = None,
-    extra_files: Sequence[Tuple[Path, str]] = (),
 ) -> CheckResult:
     """Run the SA catalog over the tree rooted at ``root``.
 
@@ -166,15 +164,11 @@ def run_check(
     baseline_path:
         Baseline file; missing file means an empty baseline.
     rules:
-        Optional rule-id filter (``["SA001", "SA008"]``).
-    extra_files:
-        Extra ``(path, dotted_name)`` anchor files (parsed, not swept).
+        Optional rule-id filter (``["SA003", "SA008"]``).
     """
     started = time.perf_counter()
     config = config if config is not None else default_config()
-    project = Project.load(
-        Path(root), config, package=package, extra_files=extra_files
-    )
+    project = Project.load(Path(root), config, package=package)
     ctx = CheckContext(project)
     local_rules, project_rules = _instantiate_rules(rules)
 

@@ -5,7 +5,7 @@ each — path, dotted name, AST, per-line suppressions) plus a
 :class:`ProjectConfig` naming the *anchor points* the SA rules scope
 themselves to: the worker entry functions whose reachable code must be
 fork-safe, the cache-key/manifest constructors whose reachable code must be
-deterministic, and the registry/spec/contract/matrix modules the
+deterministic, and the registry/spec/contract modules the
 registry-completeness rules cross-reference.
 
 Everything here is ``ast``-based — no module in the analyzed tree is ever
@@ -19,9 +19,9 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-#: ``# repro: noqa`` (blanket) or ``# repro: noqa SA001, SA002`` (targeted).
+#: ``# repro: noqa`` (blanket) or ``# repro: noqa SA003, SA008`` (targeted).
 _NOQA_PATTERN = re.compile(
     r"#\s*repro:\s*noqa(?P<rules>(?:[:\s,]+SA\d{3})*)", re.IGNORECASE
 )
@@ -32,7 +32,7 @@ def parse_suppressions(source: str) -> Dict[int, Optional[frozenset]]:
     """Per-line suppression map: line number -> rule ids (None = blanket).
 
     Recognizes ``# repro: noqa`` (suppress every SA rule on that line) and
-    ``# repro: noqa SA001, SA002`` (suppress only the listed rules).  The
+    ``# repro: noqa SA003, SA008`` (suppress only the listed rules).  The
     map is keyed by 1-based line numbers, matching ``ast`` node ``lineno``.
     """
     suppressions: Dict[int, Optional[frozenset]] = {}
@@ -49,20 +49,13 @@ def parse_suppressions(source: str) -> Dict[int, Optional[frozenset]]:
 
 @dataclass
 class ModuleInfo:
-    """One parsed source file of the analyzed project.
-
-    ``scanned`` distinguishes modules the per-module rules sweep from
-    modules parsed only as cross-reference anchors (the step-equivalence
-    test matrix lives outside the package root, so it is loaded but not
-    linted).
-    """
+    """One parsed source file of the analyzed project."""
 
     path: Path
     name: str
     tree: ast.Module
     source: str
     suppressions: Dict[int, Optional[frozenset]]
-    scanned: bool = True
 
     def suppressed(self, rule_id: str, line: int) -> bool:
         """True when ``rule_id`` is noqa'd on ``line`` of this module."""
@@ -76,9 +69,7 @@ class ProjectError(ValueError):
     """Raised when the analyzed tree cannot be loaded (bad path, syntax)."""
 
 
-def parse_module(
-    path: Path, name: str, scanned: bool = True
-) -> ModuleInfo:
+def parse_module(path: Path, name: str) -> ModuleInfo:
     """Parse one file into a :class:`ModuleInfo` (no import, AST only)."""
     try:
         source = path.read_text(encoding="utf-8")
@@ -94,7 +85,6 @@ def parse_module(
         tree=tree,
         source=source,
         suppressions=parse_suppressions(source),
-        scanned=scanned,
     )
 
 
@@ -126,14 +116,8 @@ class ProjectConfig:
         Where the word-level formal specs live (``SPEC_BUILDERS``).
     contracts_module / contracts_variable:
         Where the per-codec contract entries live (``CODEC_CONTRACTS``).
-    matrix_modules:
-        Modules holding the step-equivalence test matrix; a codec must
-        appear there (or the matrix must parametrize over
-        ``available_codecs()``, which covers everything by construction).
-    codec_bases / state_base:
-        Class names that mark codec classes and codec-state classes.
-    pure_methods:
-        Method names that must not write instance registers directly.
+    codec_bases:
+        Class names that mark codec classes.
     """
 
     worker_entries: Tuple[str, ...] = ()
@@ -145,15 +129,7 @@ class ProjectConfig:
     specs_variable: str = "SPEC_BUILDERS"
     contracts_module: Optional[str] = None
     contracts_variable: str = "CODEC_CONTRACTS"
-    matrix_modules: Tuple[str, ...] = ()
     codec_bases: Tuple[str, ...] = ("BusEncoder", "BusDecoder")
-    state_base: str = "CodecState"
-    pure_methods: Tuple[str, ...] = (
-        "step",
-        "step_stream",
-        "encode_word",
-        "decode_word",
-    )
 
 
 class Project:
@@ -170,14 +146,12 @@ class Project:
         root: Path,
         config: ProjectConfig,
         package: Optional[str] = None,
-        extra_files: Iterable[Tuple[Path, str]] = (),
     ) -> "Project":
-        """Parse every ``*.py`` under ``root`` (plus ``extra_files``).
+        """Parse every ``*.py`` under ``root``.
 
         ``package`` is the dotted prefix of the tree (default: the root
         directory's name), so ``<root>/core/base.py`` becomes
-        ``<package>.core.base``.  ``extra_files`` are (path, dotted name)
-        pairs parsed as anchors only (``scanned=False``).
+        ``<package>.core.base``.
         """
         root = Path(root)
         if not root.is_dir():
@@ -190,10 +164,6 @@ class Project:
             if parts[-1] == "__init__":
                 parts = parts[:-1]
             project.add(parse_module(path, ".".join(parts)))
-        for path, name in extra_files:
-            path = Path(path)
-            if path.is_file():
-                project.add(parse_module(path, name, scanned=False))
         return project
 
     def add(self, module: ModuleInfo) -> None:
@@ -203,11 +173,9 @@ class Project:
         return self.modules.get(name) if name is not None else None
 
     def scanned_modules(self) -> Iterator[ModuleInfo]:
-        """Modules the per-module rules sweep, in stable name order."""
+        """Every module, in stable name order (the per-module sweep order)."""
         for name in sorted(self.modules):
-            module = self.modules[name]
-            if module.scanned:
-                yield module
+            yield self.modules[name]
 
     def display_path(self, module: ModuleInfo) -> str:
         """A short, stable path for reports (relative to the root parent)."""

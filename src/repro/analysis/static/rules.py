@@ -4,11 +4,6 @@ Four rule families guard the source-level invariants the batch engine's
 correctness rests on (see ``docs/analysis.md`` for the worked catalog):
 
 ========  ========  ======================================================
-SA001     error     register write inside a pure step method (``step``,
-                    ``step_stream``, …) — the steppable API promises
-                    ``state -> (state', word)`` without touching inputs
-SA002     error     ``CodecState`` subclass is not a frozen dataclass —
-                    states must be immutable, hashable and picklable
 SA003     error     mutable class attribute on a codec class — shared
                     between every instance, corrupts concurrent streams
 SA004     error     mutable default argument on a codec-class method —
@@ -35,8 +30,6 @@ SA012     error     registered codec has no word-level formal spec
                     over it
 SA013     error     registered codec has no contract entry
                     (``CODEC_CONTRACTS``)
-SA014     error     registered codec missing from the step-equivalence
-                    test matrix — chunked/parallel encoding unverified
 SA015     error     registry builder metadata incomplete: ``Codec(...)``
                     without ``encoder_cls`` (cache code-versioning cannot
                     see the codec's source) or a name mismatching the
@@ -130,7 +123,6 @@ class CheckContext:
         self.project = project
         self.config = project.config
         self._codec_class_memo: Dict[str, bool] = {}
-        self._state_class_memo: Dict[str, bool] = {}
 
     @cached_property
     def graph(self) -> CallGraph:
@@ -152,13 +144,10 @@ class CheckContext:
 
     # -- class classification ------------------------------------------
 
-    def _base_chain_matches(
-        self,
-        module: ModuleInfo,
-        node: ast.ClassDef,
-        targets: Sequence[str],
-        memo: Dict[str, bool],
-    ) -> bool:
+    def is_codec_class(self, module: ModuleInfo, node: ast.ClassDef) -> bool:
+        """True for classes deriving (transitively) from a codec base."""
+        targets = self.config.codec_bases
+        memo = self._codec_class_memo
         qualname = f"{module.name}.{node.name}"
         if qualname in memo:
             return memo[qualname]
@@ -175,25 +164,11 @@ class CheckContext:
                 resolved = self.graph.resolve(module, base_name)
                 if resolved is not None and resolved in self.graph.classes:
                     info = self.graph.classes[resolved]
-                    if self._base_chain_matches(
-                        info.module, info.node, targets, memo
-                    ):
+                    if self.is_codec_class(info.module, info.node):
                         result = True
                         break
         memo[qualname] = result
         return result
-
-    def is_codec_class(self, module: ModuleInfo, node: ast.ClassDef) -> bool:
-        """True for classes deriving (transitively) from a codec base."""
-        return self._base_chain_matches(
-            module, node, self.config.codec_bases, self._codec_class_memo
-        )
-
-    def is_state_class(self, module: ModuleInfo, node: ast.ClassDef) -> bool:
-        """True for classes deriving (transitively) from ``CodecState``."""
-        return self._base_chain_matches(
-            module, node, (self.config.state_base,), self._state_class_memo
-        )
 
     @cached_property
     def module_level_mutables(self) -> Dict[str, Set[str]]:
@@ -281,45 +256,6 @@ class CheckContext:
                     and isinstance(key.value, str)
                 )
         return names
-
-    @cached_property
-    def matrix_coverage(self) -> Optional[Set[str]]:
-        """Codec names covered by the step-equivalence matrix.
-
-        Returns None when no matrix module is available (rule skipped), or
-        the full registered set when the matrix parametrizes over
-        ``available_codecs()`` — dynamic coverage is total by construction.
-        """
-        modules = [
-            self.project.modules[name]
-            for name in self.config.matrix_modules
-            if name in self.project.modules
-        ]
-        if not modules:
-            return None
-        names: Set[str] = set()
-        for module in modules:
-            for node in ast.walk(module.tree):
-                if isinstance(node, ast.Call):
-                    callee = dotted_name(node.func)
-                    if (
-                        callee is not None
-                        and callee.split(".")[-1] == "available_codecs"
-                    ):
-                        return set(self.registered_codecs)
-                if isinstance(node, ast.Assign) and any(
-                    isinstance(t, ast.Name) and "CODEC" in t.id.upper()
-                    for t in node.targets
-                ):
-                    if isinstance(node.value, (ast.List, ast.Tuple, ast.Set)):
-                        names.update(
-                            e.value
-                            for e in node.value.elts
-                            if isinstance(e, ast.Constant)
-                            and isinstance(e.value, str)
-                        )
-        return names
-
 
 def _registered_name(node: ast.AST) -> Optional[str]:
     """The codec name registered by an ``@register_codec("x")`` decorator."""
@@ -453,115 +389,8 @@ def run_local_rules(
 
 
 # ---------------------------------------------------------------------------
-# Purity rules (SA001-SA004)
+# Purity rules (SA003-SA004)
 # ---------------------------------------------------------------------------
-
-
-class RegisterWriteInPureStep(LocalRule):
-    """Pure step methods must not write registers directly.
-
-    ``step``/``step_stream`` promise ``state -> (state', word)``: the only
-    sanctioned way to touch the instance is the generic
-    ``restore_state``/``snapshot_state`` scratch protocol.  A direct
-    ``self.x = ...`` (or a write through the state argument) leaks one
-    chunk's registers into the next cell and breaks the bit-identity the
-    engine's chunk handoff is proven against.
-    """
-
-    rule_id = "SA001"
-    family = "purity"
-    title = "register write inside a pure step method"
-    node_types = (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)
-
-    def visit(
-        self, ctx: CheckContext, node: ast.AST, scope: Scope
-    ) -> Iterator[RawFinding]:
-        function = scope.enclosing_function
-        klass = scope.enclosing_class
-        if function is None or klass is None:
-            return
-        name = getattr(function, "name", "")
-        if name not in ctx.config.pure_methods:
-            return
-        if not ctx.is_codec_class(scope.module, klass):
-            return
-        receivers = {"self"}
-        args = getattr(function, "args", None)
-        if args is not None:
-            positional = [a.arg for a in args.args if a.arg != "self"]
-            if positional:
-                receivers.add(positional[0])  # the state argument
-        targets: List[ast.expr]
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets = [node.target]
-        else:
-            targets = list(node.targets)
-        for target in targets:
-            if (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id in receivers
-            ):
-                yield self.finding(
-                    ctx,
-                    scope.module,
-                    target.lineno,
-                    f"{klass.name}.{name} writes "
-                    f"{target.value.id}.{target.attr}; pure step methods "
-                    "must go through restore_state/snapshot_state",
-                    subject=f"{klass.name}.{name}",
-                )
-
-
-class UnfrozenCodecState(LocalRule):
-    """Codec-state classes must be frozen dataclasses.
-
-    :class:`~repro.core.base.CodecState` snapshots cross process
-    boundaries and serve as hash keys; a mutable subclass silently breaks
-    hashability and lets a worker mutate a state another chunk still
-    references.
-    """
-
-    rule_id = "SA002"
-    family = "purity"
-    title = "CodecState subclass is not a frozen dataclass"
-    node_types = (ast.ClassDef,)
-
-    def visit(
-        self, ctx: CheckContext, node: ast.AST, scope: Scope
-    ) -> Iterator[RawFinding]:
-        assert isinstance(node, ast.ClassDef)
-        if not ctx.is_state_class(scope.module, node):
-            return
-        if self._is_frozen_dataclass(node):
-            return
-        yield self.finding(
-            ctx,
-            scope.module,
-            node.lineno,
-            f"codec state class {node.name} must be declared "
-            "@dataclass(frozen=True)",
-            subject=node.name,
-        )
-
-    @staticmethod
-    def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
-        for decorator in node.decorator_list:
-            if not isinstance(decorator, ast.Call):
-                continue
-            name = dotted_name(decorator.func)
-            if name is None or name.split(".")[-1] != "dataclass":
-                continue
-            for keyword in decorator.keywords:
-                if (
-                    keyword.arg == "frozen"
-                    and isinstance(keyword.value, ast.Constant)
-                    and keyword.value.value is True
-                ):
-                    return True
-        return False
 
 
 class MutableClassAttribute(LocalRule):
@@ -607,8 +436,7 @@ class MutableDefaultArgument(LocalRule):
     """Codec-class methods must not take mutable default arguments.
 
     A mutable default is evaluated once and shared by every call — state
-    smuggled past ``reset()`` and past the steppable snapshot machinery,
-    which only covers instance attributes.
+    smuggled past ``reset()``, which only covers instance attributes.
     """
 
     rule_id = "SA004"
@@ -664,8 +492,6 @@ class WorkerGlobalMutation(ProjectRule):
             if ctx.worker_allowlisted(qualname):
                 continue
             info = ctx.graph.functions[qualname]
-            if not info.module.scanned:
-                continue
             yield from self._check_function(ctx, qualname, info)
 
     def _check_function(
@@ -796,8 +622,6 @@ class NestedPoolCreation(ProjectRule):
     def run(self, ctx: CheckContext) -> Iterator[RawFinding]:
         for qualname in sorted(ctx.worker_reachable):
             info = ctx.graph.functions[qualname]
-            if not info.module.scanned:
-                continue
             for node in ast.walk(info.node):
                 if not isinstance(node, ast.Call):
                     continue
@@ -846,8 +670,6 @@ class NondeterministicKeySource(ProjectRule):
     def run(self, ctx: CheckContext) -> Iterator[RawFinding]:
         for qualname in sorted(ctx.key_reachable):
             info = ctx.graph.functions[qualname]
-            if not info.module.scanned:
-                continue
             bindings = ctx.graph._bindings.get(info.module.name, {})
             for node in ast.walk(info.node):
                 if not isinstance(node, ast.Call):
@@ -905,8 +727,6 @@ class UnorderedSetIteration(ProjectRule):
     def run(self, ctx: CheckContext) -> Iterator[RawFinding]:
         for qualname in sorted(ctx.key_reachable):
             info = ctx.graph.functions[qualname]
-            if not info.module.scanned:
-                continue
             for node in ast.walk(info.node):
                 iters: List[ast.expr] = []
                 if isinstance(node, (ast.For, ast.AsyncFor)):
@@ -954,8 +774,6 @@ class ProcessLocalIdentity(ProjectRule):
     def run(self, ctx: CheckContext) -> Iterator[RawFinding]:
         for qualname in sorted(ctx.key_reachable):
             info = ctx.graph.functions[qualname]
-            if not info.module.scanned:
-                continue
             for node in ast.walk(info.node):
                 if (
                     isinstance(node, ast.Call)
@@ -1024,7 +842,7 @@ class DeprecatedInternalApi(LocalRule):
 
 
 # ---------------------------------------------------------------------------
-# Registry completeness (SA012-SA015)
+# Registry completeness (SA012, SA013, SA015)
 # ---------------------------------------------------------------------------
 
 
@@ -1082,36 +900,6 @@ class MissingContractEntry(ProjectRule):
                     line,
                     f"codec {codec!r} is registered without a "
                     "CODEC_CONTRACTS entry",
-                    subject=codec,
-                )
-
-
-class MissingFromStepMatrix(ProjectRule):
-    """Every registered codec must be in the step-equivalence matrix.
-
-    The matrix is what proves chunked (engine) encoding bit-identical to
-    sequential encoding; a codec outside it can pass every other test and
-    still corrupt tables when run through a worker pool.  A matrix that
-    parametrizes over ``available_codecs()`` covers everything by
-    construction.
-    """
-
-    rule_id = "SA014"
-    family = "registry"
-    title = "registered codec missing from the step-equivalence matrix"
-
-    def run(self, ctx: CheckContext) -> Iterator[RawFinding]:
-        coverage = ctx.matrix_coverage
-        if coverage is None:
-            return
-        for codec, (module, line) in sorted(ctx.registered_codecs.items()):
-            if codec not in coverage:
-                yield self.finding(
-                    ctx,
-                    module,
-                    line,
-                    f"codec {codec!r} is not covered by the "
-                    "step-equivalence test matrix",
                     subject=codec,
                 )
 
@@ -1206,8 +994,6 @@ def _local_bindings(function: ast.AST) -> Set[str]:
 
 #: The shipped rule catalog, in id order.
 ALL_RULES: Tuple[Type[Rule], ...] = (
-    RegisterWriteInPureStep,
-    UnfrozenCodecState,
     MutableClassAttribute,
     MutableDefaultArgument,
     WorkerGlobalMutation,
@@ -1219,7 +1005,6 @@ ALL_RULES: Tuple[Type[Rule], ...] = (
     DeprecatedInternalApi,
     MissingFormalSpec,
     MissingContractEntry,
-    MissingFromStepMatrix,
     IncompleteRegistryBuilder,
 )
 

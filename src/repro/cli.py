@@ -89,7 +89,6 @@ def _execution_config(args: argparse.Namespace) -> Any:
         jobs=args.jobs,
         cache_dir=None if args.no_cache else args.cache,
         kernels=not args.no_kernels,
-        chunk_size=args.chunk_size,
         refresh=args.refresh,
         cache_max_bytes=args.cache_max_bytes,
     )
@@ -101,10 +100,6 @@ def _validate_execution_flags(
     """The shared execution-flag checks; an exit code on failure."""
     if args.jobs <= 0:
         return _usage_error(command, f"--jobs must be positive, got {args.jobs}")
-    if args.chunk_size <= 0:
-        return _usage_error(
-            command, f"--chunk-size must be positive, got {args.chunk_size}"
-        )
     if args.cache_max_bytes is not None and args.cache_max_bytes <= 0:
         return _usage_error(
             command,
@@ -521,10 +516,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if args.baseline
         else repo_root / "sa-baseline.json"
     )
-    matrix_file = repo_root / "tests" / "test_step_api.py"
-    extra = (
-        [(matrix_file, "tests.test_step_api")] if matrix_file.is_file() else []
-    )
 
     try:
         result = run_check(
@@ -532,7 +523,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
             package=root.resolve().name,
             baseline_path=baseline,
             rules=args.rules,
-            extra_files=extra,
         )
     except ProjectError as error:
         return _usage_error("check", str(error))
@@ -846,16 +836,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="recompute every cell and overwrite its cache entry",
     )
     exec_group.add_argument(
-        "--chunk-size",
-        type=int,
-        default=4096,
-        help="addresses per steppable-API chunk inside each worker",
-    )
-    exec_group.add_argument(
         "--no-kernels",
         action="store_true",
         help=(
-            "force the per-cycle steppable reference path instead of the "
+            "force the per-cycle reference encoder instead of the "
             "columnar numpy kernels (output is identical; see docs/kernels.md)"
         ),
     )
@@ -1083,7 +1067,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="source-level static analysis: the SA rule catalog",
         description=(
             "Run the whole-project SA analyzer (repro.analysis.static) "
-            "over the package source: purity of steppable codecs, "
+            "over the package source: purity of codec classes, "
             "fork-safety of worker-reachable code, determinism of cache "
             "keys and manifests, and registry completeness.  AST-based — "
             "nothing is imported or executed.  Exits nonzero on any new "

@@ -10,9 +10,7 @@ from repro.core.base import (
     BusDecoder,
     BusEncoder,
     Codec,
-    CodecState,
     RoundTripError,
-    SteppableStateMixin,
     decode_stream,
     encode_stream,
     verify_roundtrip,
@@ -59,8 +57,6 @@ __all__ = [
     "BusInvertDecoder",
     "BusInvertEncoder",
     "Codec",
-    "CodecState",
-    "SteppableStateMixin",
     "DualT0BIDecoder",
     "DualT0BIEncoder",
     "DualT0Decoder",

@@ -1,27 +1,12 @@
-"""Encoder/decoder base classes, the steppable state contract and stream
-helpers.
+"""Encoder/decoder base classes and stream helpers.
 
 The paper's codes are *stateful*: both ends of the bus keep small registers
 (the previous address, the previous encoded word) and must stay in lock-step.
-Two equivalent views of that contract live here:
-
-* the classic mutable one — ``reset()`` returns the codec to its power-up
-  state, ``encode(address, sel)`` / ``decode(word, sel)`` advance one clock
-  cycle in place;
-* the pure-functional *steppable* one — :meth:`BusEncoder.initial_state`
-  yields an immutable :class:`CodecState` snapshot and
-  ``step(state, address, sel) -> (state', word)`` (mirrored by
-  :meth:`BusDecoder.step`) advances one cycle without touching any
-  pre-existing state object.
-
-The steppable view is what lets the batch engine (:mod:`repro.engine`) cut a
-stream into chunks, checkpoint the codec registers at a chunk boundary and
-resume the stream in a different worker process: a :class:`CodecState` is
-hashable, picklable and can be restored into a *fresh* encoder/decoder
-instance.  It is implemented once here — the generic snapshot/restore
-machinery freezes an instance's registers into an immutable tree — and every
-concrete codec inherits it; :class:`BusEncoder`/:class:`BusDecoder` remain
-the thin mutable adapters over it that the per-address hot loops use.
+That contract is mutable and per cycle: ``reset()`` returns a codec end to
+its power-up state, and ``encode(address, sel)`` / ``decode(word, sel)``
+advance it by one clock cycle in place.  ``encode_stream``/``decode_stream``
+run a whole stream from reset; they are the reference every faster path
+(the columnar kernels, the gate-level circuits) is tested against.
 
 ``sel`` is the instruction/data select signal of a multiplexed address bus
 (``1`` = instruction slot, ``0`` = data slot).  It is *already present* on a
@@ -46,127 +31,6 @@ SEL_INSTRUCTION = 1
 SEL_DATA = 0
 
 
-# ---------------------------------------------------------------------------
-# Steppable state: immutable codec-register snapshots
-# ---------------------------------------------------------------------------
-
-_STATE_SCALARS = (str, int, float, bool, bytes, type(None))
-
-
-def _freeze(value: Any) -> Any:
-    """Convert a codec-register value into an immutable, hashable form.
-
-    The output is either a scalar or a tagged tuple, so the two never
-    collide and :func:`_thaw` can invert the mapping exactly.
-    """
-    if isinstance(value, _STATE_SCALARS):
-        return value
-    if isinstance(value, tuple):
-        return ("tuple", tuple(_freeze(item) for item in value))
-    if isinstance(value, list):
-        return ("list", tuple(_freeze(item) for item in value))
-    if isinstance(value, dict):
-        return (
-            "dict",
-            tuple((key, _freeze(item)) for key, item in sorted(value.items())),
-        )
-    if isinstance(value, (set, frozenset)):
-        return ("set", tuple(sorted(_freeze(item) for item in value)))
-    if hasattr(value, "__dict__"):
-        return (
-            "object",
-            type(value),
-            tuple(
-                (key, _freeze(item))
-                for key, item in sorted(vars(value).items())
-            ),
-        )
-    raise TypeError(
-        f"cannot snapshot codec state value of type {type(value).__name__}"
-    )
-
-
-def _thaw(value: Any) -> Any:
-    """Rebuild the live value a :func:`_freeze` output came from."""
-    if not isinstance(value, tuple):
-        return value
-    tag = value[0]
-    if tag == "tuple":
-        return tuple(_thaw(item) for item in value[1])
-    if tag == "list":
-        return [_thaw(item) for item in value[1]]
-    if tag == "dict":
-        return {key: _thaw(item) for key, item in value[1]}
-    if tag == "set":
-        return {_thaw(item) for item in value[1]}
-    if tag == "object":
-        _, cls, items = value
-        instance = object.__new__(cls)
-        for key, item in items:
-            object.__setattr__(instance, key, _thaw(item))
-        return instance
-    raise ValueError(f"malformed frozen state tag {tag!r}")
-
-
-@dataclass(frozen=True)
-class CodecState:
-    """An immutable snapshot of one codec end's registers.
-
-    Produced by :meth:`BusEncoder.initial_state` /
-    :meth:`BusEncoder.snapshot_state` (and the decoder mirrors), consumed
-    by ``step``/``step_stream``/``restore_state``.  States are hashable,
-    comparable and picklable, so they can cross process boundaries — the
-    property the batch engine's chunk handoff relies on.
-
-    ``owner`` records the producing class's qualified name; restoring a
-    state into a different codec class is rejected rather than silently
-    corrupting registers.
-    """
-
-    owner: str
-    payload: Any
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"CodecState({self.owner})"
-
-
-class SteppableStateMixin:
-    """Generic snapshot/restore over an instance's register attributes.
-
-    Implemented once; both :class:`BusEncoder` and :class:`BusDecoder`
-    inherit it.  The snapshot covers *every* instance attribute
-    (configuration included — configuration is immutable, so restoring it
-    is harmless), which keeps concrete codecs free of any per-class state
-    declarations.
-    """
-
-    def snapshot_state(self) -> CodecState:
-        """Freeze the current registers into an immutable state."""
-        return CodecState(
-            owner=type(self).__qualname__,
-            payload=tuple(
-                (key, _freeze(item)) for key, item in sorted(vars(self).items())
-            ),
-        )
-
-    def restore_state(self, state: CodecState) -> None:
-        """Load a snapshot back into this instance (any instance of the
-        producing class, not just the one that took the snapshot)."""
-        if state.owner != type(self).__qualname__:
-            raise ValueError(
-                f"cannot restore {state.owner} state into "
-                f"{type(self).__qualname__}"
-            )
-        self.__dict__.clear()
-        for key, item in state.payload:
-            self.__dict__[key] = _thaw(item)
-
-    def initial_state(self) -> CodecState:
-        """The power-up state (the state ``reset()`` establishes)."""
-        self.reset()  # type: ignore[attr-defined]
-        return self.snapshot_state()
-
-
 def _paired_streams(
     first: Iterable[Any], second: Iterable[Any], first_name: str, second_name: str
 ) -> Tuple[List[Any], List[Any]]:
@@ -186,7 +50,7 @@ def _paired_streams(
     return first_list, second_list
 
 
-class BusEncoder(SteppableStateMixin, abc.ABC):
+class BusEncoder(abc.ABC):
     """Transforms an address stream into an encoded bus-word stream.
 
     Parameters
@@ -212,47 +76,6 @@ class BusEncoder(SteppableStateMixin, abc.ABC):
     def encode(self, address: int, sel: int = SEL_INSTRUCTION) -> EncodedWord:
         """Encode one address; advances the encoder by one clock cycle."""
 
-    def step(
-        self, state: CodecState, address: int, sel: int = SEL_INSTRUCTION
-    ) -> Tuple[CodecState, EncodedWord]:
-        """Pure-functional single-cycle advance: ``state -> (state', word)``.
-
-        ``state`` is not mutated; the instance's own registers are
-        overwritten (it acts as scratch space), so interleaving ``step``
-        with direct ``encode`` calls on the same instance is not
-        meaningful.
-        """
-        self.restore_state(state)
-        word = self.encode(address, sel)
-        return self.snapshot_state(), word
-
-    def step_stream(
-        self,
-        state: CodecState,
-        addresses: Sequence[int],
-        sels: Optional[Sequence[int]] = None,
-    ) -> Tuple[CodecState, List[EncodedWord]]:
-        """Encode a chunk starting from ``state``; returns the state after
-        the chunk's last cycle.
-
-        This is the engine's chunk primitive: snapshotting once per chunk
-        rather than once per address keeps the pure API's overhead off the
-        hot loop.
-        """
-        if sels is not None:
-            addresses, sels = _paired_streams(
-                addresses, sels, "addresses", "sels"
-            )
-        self.restore_state(state)
-        if sels is None:
-            words = [self.encode(address) for address in addresses]
-        else:
-            words = [
-                self.encode(address, sel)
-                for address, sel in zip(addresses, sels)
-            ]
-        return self.snapshot_state(), words
-
     def encode_stream(
         self, addresses: Iterable[int], sels: Optional[Iterable[int]] = None
     ) -> List[EncodedWord]:
@@ -275,7 +98,7 @@ class BusEncoder(SteppableStateMixin, abc.ABC):
         return address
 
 
-class BusDecoder(SteppableStateMixin, abc.ABC):
+class BusDecoder(abc.ABC):
     """Recovers the address stream from the encoded bus-word stream."""
 
     def __init__(self, width: int):
@@ -291,30 +114,6 @@ class BusDecoder(SteppableStateMixin, abc.ABC):
     @abc.abstractmethod
     def decode(self, word: EncodedWord, sel: int = SEL_INSTRUCTION) -> int:
         """Decode one bus word; advances the decoder by one clock cycle."""
-
-    def step(
-        self, state: CodecState, word: EncodedWord, sel: int = SEL_INSTRUCTION
-    ) -> Tuple[CodecState, int]:
-        """Pure-functional single-cycle advance: ``state -> (state', address)``."""
-        self.restore_state(state)
-        address = self.decode(word, sel)
-        return self.snapshot_state(), address
-
-    def step_stream(
-        self,
-        state: CodecState,
-        words: Sequence[EncodedWord],
-        sels: Optional[Sequence[int]] = None,
-    ) -> Tuple[CodecState, List[int]]:
-        """Decode a chunk starting from ``state`` (see the encoder mirror)."""
-        if sels is not None:
-            words, sels = _paired_streams(words, sels, "words", "sels")
-        self.restore_state(state)
-        if sels is None:
-            decoded = [self.decode(word) for word in words]
-        else:
-            decoded = [self.decode(word, sel) for word, sel in zip(words, sels)]
-        return self.snapshot_state(), decoded
 
     def decode_stream(
         self, words: Iterable[EncodedWord], sels: Optional[Iterable[int]] = None

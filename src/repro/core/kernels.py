@@ -1,10 +1,10 @@
 """Columnar numpy encode/decode kernels for the registered codecs.
 
-The steppable API in :mod:`repro.core.base` is the *reference*
+The per-cycle codecs in :mod:`repro.core.base` are the *reference*
 implementation: one Python-level ``encode``/``decode`` call per bus cycle,
 one :class:`~repro.core.word.EncodedWord` per cycle.  That is the right
-shape for formal word-level reasoning and for chunked state handoff, but
-it is the wrong shape for million-address traces — the engine's cold path
+shape for formal word-level reasoning, but it is the wrong shape for
+million-address traces — the engine's cold path
 spends essentially all of its time in per-cycle Python dispatch.
 
 These kernels compute the same streams as whole-array operations on a

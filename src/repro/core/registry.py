@@ -68,13 +68,22 @@ def available_codecs() -> List[str]:
 
 
 def make_codec(name: str, width: int = 32, **params: object) -> Codec:
-    """Build a fresh :class:`~repro.core.base.Codec` by registry name."""
+    """Build a fresh :class:`~repro.core.base.Codec` by registry name.
+
+    One encoder and one decoder are built and discarded before returning,
+    so a width/parameter combination the codec cannot realise (``pbi``
+    with more partitions than lines) raises ``ValueError`` here rather
+    than at the first encode.
+    """
     try:
         builder = _REGISTRY[name]
     except KeyError:
         known = ", ".join(available_codecs())
         raise KeyError(f"unknown codec {name!r}; available: {known}") from None
-    return builder(width=width, **params)
+    codec = builder(width=width, **params)
+    codec.make_encoder()
+    codec.make_decoder()
+    return codec
 
 
 @register_codec("binary")

@@ -1,18 +1,17 @@
 """Batch execution engine: (trace, codec, metric) cells, a multiprocessing
 worker pool, and an on-disk content-addressed result cache.
 
-See ``docs/engine.md`` for the job model, the cache-key anatomy and the
-chunk-state handoff that the steppable codec API enables.
+See ``docs/engine.md`` for the job model and the cache-key anatomy.  A
+codec-transitions cell runs the codec's columnar kernel, or else its
+``encode_stream``.
 """
 
 from repro.engine.cache import ResultCache, cell_key, code_version
 from repro.engine.cells import (
-    DEFAULT_CHUNK_SIZE,
     METRIC_BINARY,
     METRIC_CODEC,
     METRIC_POWER,
     Cell,
-    chunked_encode,
     comparison_cells,
     compute_cell,
     make_cell,
@@ -26,7 +25,6 @@ from repro.engine.runner import BatchEngine, EngineStats
 __all__ = [
     "BatchEngine",
     "Cell",
-    "DEFAULT_CHUNK_SIZE",
     "EngineStats",
     "ExecutionConfig",
     "METRIC_BINARY",
@@ -34,7 +32,6 @@ __all__ = [
     "METRIC_POWER",
     "ResultCache",
     "cell_key",
-    "chunked_encode",
     "code_version",
     "comparison_cells",
     "compute_cell",

@@ -75,7 +75,7 @@ _POWER_MODULES = (
 
 #: Additional modules whose source determines a codec-transitions cell's
 #: result: such cells may be computed by either the columnar kernels or
-#: the steppable reference path, so a kernel edit must invalidate them.
+#: the reference ``encode_stream``, so a kernel edit must invalidate them.
 _CODEC_MODULES = ("repro.core.kernels",)
 
 

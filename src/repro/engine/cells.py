@@ -7,10 +7,10 @@ A table regeneration is a grid of independent **cells**, one per
     The plain-binary transition report plus the in-sequence fraction of a
     stream — the denominator of every savings column.
 ``codec-transitions``
-    One codec's transition report over a stream.  Computed in chunks via
-    the steppable API (:meth:`repro.core.base.BusEncoder.step_stream`), so
-    a worker carries the codec registers across chunk boundaries and the
-    result is bit-identical to one uninterrupted ``encode_stream``.
+    One codec's transition report over a stream.  Computed by the codec's
+    columnar kernel (:mod:`repro.core.kernels`) when it has one, or else
+    by its per-cycle ``encode_stream``; the payload is identical either
+    way.
 ``power-sim``
     One codec's gate-level encoder+decoder simulation over a stream
     (Tables 8/9).  The payload carries only what the power estimator
@@ -32,7 +32,6 @@ if TYPE_CHECKING:
 
 from repro.core import kernels
 from repro.core.base import Codec
-from repro.core.word import EncodedWord
 from repro.metrics.fast import (
     _as_u64,
     _scalar_oracle,
@@ -42,11 +41,6 @@ from repro.metrics.fast import (
 )
 from repro.metrics.transitions import TransitionReport
 from repro.obs.trace import span as obs_span
-
-#: Default number of addresses per steppable-API chunk.  Large enough to
-#: amortise the per-chunk state snapshot, small enough that a chunk's
-#: word list stays cache-friendly.
-DEFAULT_CHUNK_SIZE = 4096
 
 METRIC_BINARY = "binary-reference"
 METRIC_CODEC = "codec-transitions"
@@ -137,39 +131,9 @@ def report_from_payload(payload: Dict[str, Any]) -> TransitionReport:
 # ---------------------------------------------------------------------------
 
 
-def chunked_encode(
-    codec: Codec,
-    addresses: Sequence[int],
-    sels: Optional[Sequence[int]],
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> List[EncodedWord]:
-    """Encode a stream in chunks, carrying codec state across boundaries.
-
-    Equivalent to one ``encode_stream`` call; each chunk runs on a fresh
-    encoder instance restored from the previous chunk's exit state —
-    exactly the handoff a worker performs, and the property
-    ``tests/test_step_api.py`` locks across every registered codec.
-    """
-    if chunk_size <= 0:
-        raise ValueError(f"chunk size must be positive, got {chunk_size}")
-    state = codec.make_encoder().initial_state()
-    words: List[EncodedWord] = []
-    for start in range(0, len(addresses), chunk_size):
-        encoder = codec.make_encoder()
-        chunk_sels = (
-            sels[start : start + chunk_size] if sels is not None else None
-        )
-        state, chunk_words = encoder.step_stream(
-            state, addresses[start : start + chunk_size], chunk_sels
-        )
-        words.extend(chunk_words)
-    return words
-
-
 def compute_cell(
     cell: Cell,
     codec: Optional[Codec] = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     use_kernels: bool = True,
 ) -> Dict[str, Any]:
     """Run one cell to completion, returning its JSON-ready payload.
@@ -184,7 +148,7 @@ def compute_cell(
     if cell.metric == METRIC_BINARY:
         return _compute_binary_reference(cell)
     if cell.metric == METRIC_CODEC:
-        return _compute_codec_transitions(cell, codec, chunk_size, use_kernels)
+        return _compute_codec_transitions(cell, codec, use_kernels)
     if cell.metric == METRIC_POWER:
         return _compute_power_sim(cell)
     raise ValueError(f"unknown cell metric {cell.metric!r}")
@@ -202,6 +166,8 @@ def _cell_codec(cell: Cell, codec: Optional[Codec]) -> Codec:
 PATH_COLUMNAR = "columnar"
 PATH_GATE_SIM = "gate-sim"
 PATH_KERNEL = "kernel"
+#: The per-cycle ``encode_stream`` path.  Benchmarks read this label as
+#: ``engine.cell_compute_us{path="steppable"}``, so it stays as it is.
 PATH_STEPPABLE = "steppable"
 
 
@@ -211,8 +177,8 @@ def cell_path(
     """Which execution path :func:`compute_cell` will take for ``cell``.
 
     Telemetry metadata only — it never enters the cell payload (payloads
-    must stay byte-identical between the kernel and steppable paths so
-    cache entries are path-agnostic).
+    must stay byte-identical between the kernel and ``encode_stream``
+    paths so cache entries are path-agnostic).
     """
     if cell.metric == METRIC_BINARY:
         return PATH_COLUMNAR
@@ -248,10 +214,7 @@ def _compute_binary_reference(cell: Cell) -> Dict[str, Any]:
 
 
 def _compute_codec_transitions(
-    cell: Cell,
-    codec: Optional[Codec],
-    chunk_size: int,
-    use_kernels: bool = True,
+    cell: Cell, codec: Optional[Codec], use_kernels: bool = True
 ) -> Dict[str, Any]:
     codec = _cell_codec(cell, codec)
     if use_kernels and kernels.has_encode_kernel(codec):
@@ -266,7 +229,7 @@ def _compute_codec_transitions(
             "encoded_words": result.cycles,
         }
     with obs_span("encode", codec=codec.name, cycles=len(cell.addresses)):
-        words = chunked_encode(codec, cell.addresses, cell.sels, chunk_size)
+        words = codec.make_encoder().encode_stream(cell.addresses, cell.sels)
     with obs_span("count", codec=codec.name, cycles=len(words)):
         report = count_transitions_fast(words, width=cell.width)
     return {"report": report_to_payload(report), "encoded_words": len(words)}

@@ -2,8 +2,8 @@
 
 Every comparison row, paper table and power run is computed as engine
 cells; :class:`ExecutionConfig` is how a caller says how those cells run.
-It names the four execution decisions a caller can make (worker count,
-cache directory, kernel routing, chunk size) plus the two cache policies
+It names the three execution decisions a caller can make (worker count,
+cache directory, kernel routing) plus the two cache policies
 (refresh, max-bytes eviction), validates them once, and builds the
 :class:`~repro.engine.runner.BatchEngine` they imply.  A caller that
 passes no config gets a plain ``ExecutionConfig()``: one in-process
@@ -25,13 +25,12 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from repro.engine.cache import ResultCache
-from repro.engine.cells import DEFAULT_CHUNK_SIZE
 from repro.engine.runner import BatchEngine
 
 
 @dataclass
 class ExecutionConfig:
-    """How cell batches execute: workers, cache, kernels, chunking.
+    """How cell batches execute: workers, cache, kernels.
 
     Parameters
     ----------
@@ -41,10 +40,8 @@ class ExecutionConfig:
         Result cache directory, or None to disable caching.
     kernels:
         Route codec-transitions cells through the columnar numpy kernels
-        where one exists; ``False`` forces the steppable reference path
-        (output is bit-identical either way).
-    chunk_size:
-        Addresses per steppable-API chunk inside each worker.
+        where one exists; ``False`` forces the per-cycle reference path,
+        ``encode_stream`` (output is bit-identical either way).
     refresh:
         Recompute every cell and overwrite its cache entry.
     cache_max_bytes:
@@ -55,7 +52,6 @@ class ExecutionConfig:
     jobs: int = 1
     cache_dir: Optional[Union[str, Path]] = None
     kernels: bool = True
-    chunk_size: int = DEFAULT_CHUNK_SIZE
     refresh: bool = False
     cache_max_bytes: Optional[int] = None
     _engine: Optional[BatchEngine] = field(
@@ -65,10 +61,6 @@ class ExecutionConfig:
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError(f"jobs must be positive, got {self.jobs}")
-        if self.chunk_size < 1:
-            raise ValueError(
-                f"chunk_size must be positive, got {self.chunk_size}"
-            )
         if self.cache_max_bytes is not None and self.cache_max_bytes < 1:
             raise ValueError(
                 f"cache_max_bytes must be positive, got {self.cache_max_bytes}"
@@ -89,7 +81,6 @@ class ExecutionConfig:
             self._engine = BatchEngine(
                 jobs=self.jobs,
                 cache_dir=cache,
-                chunk_size=self.chunk_size,
                 refresh=self.refresh,
                 use_kernels=self.kernels,
             )
@@ -103,7 +94,6 @@ class ExecutionConfig:
                 str(self.cache_dir) if self.cache_dir is not None else None
             ),
             "kernels": self.kernels,
-            "chunk_size": self.chunk_size,
             "refresh": self.refresh,
             "cache_max_bytes": self.cache_max_bytes,
         }

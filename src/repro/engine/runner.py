@@ -34,7 +34,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.base import Codec
 from repro.engine.cache import ResultCache, cell_key, code_version
 from repro.engine.cells import (
-    DEFAULT_CHUNK_SIZE,
     METRIC_BINARY,
     METRIC_POWER,
     Cell,
@@ -79,12 +78,12 @@ def _worker_init() -> None:
     detach_sinks()
 
 
-#: One schedulable worker task: ``(index, cell, chunk_size, traced,
-#: use_kernels, submitted_at)``.  ``submitted_at`` is the parent's
+#: One schedulable worker task: ``(index, cell, traced, use_kernels,
+#: submitted_at)``.  ``submitted_at`` is the parent's
 #: ``time.perf_counter()`` at enqueue time; on Linux the monotonic clock
 #: is system-wide, so the forked worker can subtract it to measure how
 #: long the task sat in the pool queue before a worker picked it up.
-_CellTask = Tuple[int, Cell, int, bool, bool, float]
+_CellTask = Tuple[int, Cell, bool, bool, float]
 
 #: Worker outcome: ``(index, payload, meta, events)``.  ``meta`` carries
 #: telemetry only (``wall_s``, ``queue_s``, ``path``) — it never touches
@@ -94,19 +93,15 @@ _CellOutcome = Tuple[int, Dict[str, Any], Dict[str, Any], List[Dict[str, Any]]]
 
 def _run_cell(task: _CellTask) -> _CellOutcome:
     """Worker entry point: compute one cell, capturing its trace spans."""
-    index, cell, chunk_size, traced, use_kernels, submitted_at = task
+    index, cell, traced, use_kernels, submitted_at = task
     started = time.perf_counter()
     events: List[Dict[str, Any]]
     if traced:
         with obs_capture() as sink:
-            payload = compute_cell(
-                cell, chunk_size=chunk_size, use_kernels=use_kernels
-            )
+            payload = compute_cell(cell, use_kernels=use_kernels)
         events = sink.events
     else:
-        payload = compute_cell(
-            cell, chunk_size=chunk_size, use_kernels=use_kernels
-        )
+        payload = compute_cell(cell, use_kernels=use_kernels)
         events = []
     meta = {
         "wall_s": time.perf_counter() - started,
@@ -125,23 +120,20 @@ class BatchEngine:
         Worker process count; ``1`` computes in-process (no fork).
     cache_dir:
         Result cache directory, or None to disable caching.
-    chunk_size:
-        Addresses per steppable-API chunk inside each worker.
     refresh:
         Recompute every cell and overwrite its cache entry (the
         ``--refresh`` CLI flag).
     use_kernels:
         Route codec-transitions cells through the columnar numpy kernels
         (:mod:`repro.core.kernels`); codecs without a kernel fall back to
-        the steppable reference path transparently.  ``False`` forces the
-        reference path everywhere (the ``--no-kernels`` CLI flag).
+        the per-cycle reference path, ``encode_stream``.  ``False`` forces
+        the reference path everywhere (the ``--no-kernels`` CLI flag).
     """
 
     def __init__(
         self,
         jobs: int = 1,
         cache_dir: Optional[Union[str, "object"]] = None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
         refresh: bool = False,
         use_kernels: bool = True,
     ) -> None:
@@ -153,7 +145,6 @@ class BatchEngine:
             if cache_dir is not None
             else None
         )
-        self.chunk_size = chunk_size
         self.refresh = refresh
         self.use_kernels = use_kernels
         self.stats = EngineStats(jobs=self.jobs)
@@ -246,7 +237,6 @@ class BatchEngine:
                         (
                             index,
                             cell,
-                            self.chunk_size,
                             traced,
                             self.use_kernels,
                             time.perf_counter(),
@@ -277,10 +267,7 @@ class BatchEngine:
                     )
                 started = time.perf_counter()
                 payload = compute_cell(
-                    cell,
-                    codec=codec,
-                    chunk_size=self.chunk_size,
-                    use_kernels=self.use_kernels,
+                    cell, codec=codec, use_kernels=self.use_kernels
                 )
                 meta = {
                     "wall_s": time.perf_counter() - started,

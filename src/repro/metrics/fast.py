@@ -217,7 +217,3 @@ def binary_reference_report(
     return count_packed(_as_u64(addresses), width, width)
 
 
-def hamming_matrix(values: ArrayLike) -> np.ndarray:
-    """Pairwise Hamming-distance matrix of a small address set."""
-    array = _as_u64(values)
-    return _popcount(array[:, None] ^ array[None, :])

@@ -63,7 +63,7 @@ def compare_codecs(
     The row is computed as engine cells (see
     :func:`repro.engine.comparison_cells`) on ``config``'s engine.
     ``config`` (an :class:`repro.engine.ExecutionConfig`) decides worker
-    count, caching, kernel routing and chunking; None means a plain
+    count, caching and kernel routing; None means a plain
     ``ExecutionConfig()``: one in-process worker, no cache.  The row is
     bit-identical under every config.
     """

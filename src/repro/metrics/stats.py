@@ -13,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.base import SEL_INSTRUCTION
-from repro.core.word import EncodedWord, hamming
-from repro.metrics.transitions import count_transitions
+from repro.core.word import hamming
 
 
 def in_sequence_fraction(
@@ -37,24 +35,6 @@ def in_sequence_fraction(
         if cur == prev + stride
     )
     return hits / (len(addresses) - 1)
-
-
-def instruction_slot_sequence_fraction(
-    addresses: Sequence[int], sels: Sequence[int], stride: int = 4
-) -> float:
-    """Fraction of instruction slots in sequence w.r.t. the *previous
-    instruction slot* — the quantity the dual T0 reference register sees."""
-    prev_instruction: Optional[int] = None
-    hits = 0
-    slots = 0
-    for address, sel in zip(addresses, sels):
-        if sel == SEL_INSTRUCTION:
-            if prev_instruction is not None:
-                slots += 1
-                if address == prev_instruction + stride:
-                    hits += 1
-            prev_instruction = address
-    return hits / slots if slots else 0.0
 
 
 def per_type_in_sequence_fraction(
@@ -114,43 +94,6 @@ def mean_jump_hamming(addresses: Sequence[int], stride: int = 4) -> float:
         if cur != prev + stride:
             distances.append(hamming(prev, cur))
     return sum(distances) / len(distances) if distances else 0.0
-
-
-def line_activity_profile(
-    addresses: Sequence[int], width: int = 32
-) -> List[float]:
-    """Per-line transitions per cycle of the raw (binary) stream, LSB first.
-
-    The signature the codes exploit is visible here: low lines toggle at
-    counter rates, mid lines carry the jump randomness, high lines move only
-    on region changes — which is why bus-invert's majority vote keys off the
-    high half and T0 freezes the low half.
-    """
-    if width <= 0:
-        raise ValueError(f"width must be positive, got {width}")
-    report = count_transitions([EncodedWord(a) for a in addresses], width=width)
-    cycles = max(report.cycles, 1)
-    return [count / cycles for count in report.per_line or [0] * width]
-
-
-def address_entropy(addresses: Sequence[int]) -> float:
-    """Shannon entropy (bits) of the address distribution.
-
-    Low entropy marks the repetitive embedded workloads where the trained
-    Beach code thrives; high entropy marks the random data traffic where
-    only bus-invert style codes help.
-    """
-    if not addresses:
-        return 0.0
-    from math import log2
-
-    counts: Dict[int, int] = {}
-    for address in addresses:
-        counts[address] = counts.get(address, 0) + 1
-    total = len(addresses)
-    return -sum(
-        (count / total) * log2(count / total) for count in counts.values()
-    )
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,9 @@ of any comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from repro.core.word import EncodedWord, hamming
+from repro.core.word import EncodedWord
 
 
 @dataclass(frozen=True)
@@ -109,16 +109,6 @@ def count_transitions(
         cycles=cycles,
         per_line=tuple(per_line),
     )
-
-
-def transition_profile(
-    words: Sequence[EncodedWord], width: int = 32
-) -> List[int]:
-    """Per-cycle transition counts (length ``len(words) - 1``)."""
-    profile: List[int] = []
-    for prev, cur in zip(words, words[1:]):
-        profile.append(hamming(prev.packed(width), cur.packed(width)))
-    return profile
 
 
 def binary_transitions(addresses: Sequence[int]) -> int:

@@ -40,7 +40,6 @@ from repro.obs.manifest import (
     deterministic_view,
     digest_text,
     git_sha,
-    stage_times_from_events,
     write_manifest,
 )
 from repro.obs.metrics import (
@@ -62,7 +61,6 @@ from repro.obs.perf import (
     parse_collapsed,
     render_tree,
     span_histograms,
-    span_percentiles,
     write_flame,
 )
 from repro.obs.profiling import (
@@ -140,8 +138,6 @@ __all__ = [
     "snapshot",
     "span",
     "span_histograms",
-    "span_percentiles",
-    "stage_times_from_events",
     "validate_event",
     "validate_events",
     "write_flame",

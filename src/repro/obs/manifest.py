@@ -27,7 +27,7 @@ import subprocess
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, Optional, Sequence, Tuple, Union
 
 from repro.obs.metrics import snapshot as metrics_snapshot
 
@@ -220,12 +220,3 @@ def aggregate_stages(
     return stages
 
 
-def stage_times_from_events(
-    events: Sequence[Dict[str, Any]],
-    stage_names: Optional[Sequence[str]] = None,
-) -> Dict[str, float]:
-    """Outermost span wall time by name (see :func:`aggregate_stages`)."""
-    return {
-        name: stage["wall_s"]
-        for name, stage in aggregate_stages(events, stage_names).items()
-    }

@@ -253,21 +253,6 @@ def span_histograms(
     return histograms
 
 
-def span_percentiles(
-    events: Sequence[Dict[str, Any]],
-    stage_names: Optional[Sequence[str]] = None,
-    quantiles: Sequence[float] = (0.50, 0.95, 0.99),
-) -> Dict[str, Dict[str, float]]:
-    """Per-span-kind ``{"p50": seconds, ...}`` estimated from buckets."""
-    return {
-        name: {
-            f"p{int(q * 100)}": histogram.percentile(q) / US_PER_S
-            for q in quantiles
-        }
-        for name, histogram in span_histograms(events, stage_names).items()
-    }
-
-
 # ---------------------------------------------------------------------------
 # Collapsed stacks (flamegraph.pl / speedscope)
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from repro.rtl.power import (
     effective_densities,
     estimate_from_simulation,
     estimate_probabilistic,
-    stream_line_statistics,
 )
 
 __all__ = [
@@ -71,5 +70,4 @@ __all__ = [
     "estimate_from_simulation",
     "estimate_probabilistic",
     "gates",
-    "stream_line_statistics",
 ]

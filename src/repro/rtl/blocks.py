@@ -22,11 +22,6 @@ def buffer_word(nl: Netlist, word: Sequence[NetId]) -> List[NetId]:
     return [nl.add_gate(BUF, net) for net in word]
 
 
-def invert_word(nl: Netlist, word: Sequence[NetId]) -> List[NetId]:
-    """Bitwise complement."""
-    return [nl.add_gate(INV, net) for net in word]
-
-
 def xor_word(
     nl: Netlist, a: Sequence[NetId], b: Sequence[NetId]
 ) -> List[NetId]:
@@ -163,21 +158,6 @@ def and_reduce(nl: Netlist, bits: Sequence[NetId]) -> NetId:
     while len(nets) > 1:
         nets = [
             nl.add_gate(AND2, nets[i], nets[i + 1])
-            if i + 1 < len(nets)
-            else nets[i]
-            for i in range(0, len(nets), 2)
-        ]
-    return nets[0]
-
-
-def or_reduce(nl: Netlist, bits: Sequence[NetId]) -> NetId:
-    """Balanced OR tree."""
-    nets = list(bits)
-    if not nets:
-        return nl.const(0)
-    while len(nets) > 1:
-        nets = [
-            nl.add_gate(OR2, nets[i], nets[i + 1])
             if i + 1 < len(nets)
             else nets[i]
             for i in range(0, len(nets), 2)

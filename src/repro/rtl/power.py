@@ -39,7 +39,7 @@ explicitly, both calibrated for a 0.35 µm 3.3 V process:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.obs import metrics as obs_metrics
 from repro.power.bus import DEFAULT_FREQUENCY_HZ, DEFAULT_VDD
@@ -358,29 +358,3 @@ def estimate_probabilistic(
     )
 
 
-def stream_line_statistics(
-    values: Sequence[int], width: int
-) -> Tuple[List[float], List[float]]:
-    """Per-line (probability, activity) of a word stream — the reference
-    switching activities fed to the probabilistic mode."""
-    if not values:
-        raise ValueError("empty stream")
-    ones = [0] * width
-    toggles = [0] * width
-    previous: Optional[int] = None
-    for value in values:
-        for bit in range(width):
-            if (value >> bit) & 1:
-                ones[bit] += 1
-        if previous is not None:
-            diff = value ^ previous
-            for bit in range(width):
-                if (diff >> bit) & 1:
-                    toggles[bit] += 1
-        previous = value
-    count = len(values)
-    cycles = max(count - 1, 1)
-    return (
-        [one / count for one in ones],
-        [toggle / cycles for toggle in toggles],
-    )

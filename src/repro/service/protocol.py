@@ -153,19 +153,42 @@ def _check_version(payload: Mapping[str, Any]) -> None:
         )
 
 
-def _parse_addresses(trace: Mapping[str, Any]) -> Tuple[Tuple[int, ...], Optional[Tuple[int, ...]]]:
+def _is_int(value: Any) -> bool:
+    """A JSON integer.  ``bool`` subclasses ``int`` in Python, but JSON
+    ``true`` is not a number, so it is rejected wherever one is required."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _parse_addresses(
+    trace: Mapping[str, Any], width: int = 64
+) -> Tuple[Tuple[int, ...], Optional[Tuple[int, ...]]]:
+    """Validate an inline trace whose addresses must fit ``width`` lines."""
     addresses = trace.get("addresses")
     if not isinstance(addresses, list) or not addresses:
         raise ProtocolError("inline trace needs a non-empty 'addresses' list")
-    if not all(isinstance(a, int) and a >= 0 for a in addresses):
-        raise ProtocolError("'addresses' must be non-negative integers")
+    limit = 1 << width
+    if not (
+        all(type(a) is int for a in addresses)
+        and min(addresses) >= 0
+        and max(addresses) < limit
+    ):
+        for index, address in enumerate(addresses):
+            if not _is_int(address) or address < 0:
+                raise ProtocolError(
+                    "'addresses' must be non-negative integers"
+                )
+            if address >= limit:
+                raise ProtocolError(
+                    f"address #{index} ({address:#x}) does not fit a "
+                    f"{width}-bit bus"
+                )
     sels = trace.get("sels")
     if sels is not None:
         if not isinstance(sels, list) or len(sels) != len(addresses):
             raise ProtocolError(
                 "'sels' must be a list the same length as 'addresses'"
             )
-        if not all(isinstance(s, int) and s in (0, 1) for s in sels):
+        if not all(type(s) is int and s in (0, 1) for s in sels):
             raise ProtocolError("'sels' entries must be 0 or 1")
     return tuple(addresses), tuple(sels) if sels is not None else None
 
@@ -206,9 +229,9 @@ def parse_request(payload: Any) -> EvalRequest:
 
     width = payload.get("width", 32)
     stride = payload.get("stride", 4)
-    if not isinstance(width, int) or not 1 <= width <= 64:
+    if not _is_int(width) or not 1 <= width <= 64:
         raise ProtocolError(f"'width' must be an integer in [1, 64], got {width!r}")
-    if not isinstance(stride, int) or stride < 1:
+    if not _is_int(stride) or stride < 1:
         raise ProtocolError(f"'stride' must be a positive integer, got {stride!r}")
 
     benchmark = payload.get("benchmark", "")
@@ -226,7 +249,7 @@ def parse_request(payload: Any) -> EvalRequest:
     if trace is not None:
         if not isinstance(trace, Mapping):
             raise ProtocolError("'trace' must be an object")
-        addresses, sels = _parse_addresses(trace)
+        addresses, sels = _parse_addresses(trace, width)
     else:
         if not isinstance(digest, str) or len(digest) != 64:
             raise ProtocolError(

@@ -27,7 +27,6 @@ from repro.tracegen.synthetic import (
     DataProfile,
     DmaProfile,
     dma_stream,
-    insert_idle_cycles,
     InstructionProfile,
     MultiplexProfile,
     multiplex_streams,
@@ -76,7 +75,6 @@ __all__ = [
     "data_trace",
     "dma_stream",
     "get_profile",
-    "insert_idle_cycles",
     "load_dinero",
     "save_dinero",
     "instruction_trace",

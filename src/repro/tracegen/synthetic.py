@@ -383,45 +383,6 @@ def multiplex_streams(
     )
 
 
-def insert_idle_cycles(
-    trace: AddressTrace, idle_fraction: float, seed: int = 0
-) -> AddressTrace:
-    """Model bus wait states: cycles where the address simply holds.
-
-    Real buses are not 100 % utilised; during wait states the master keeps
-    the previous address driven.  Under the memoryless codes a repeated
-    word changes no wires, so wait states are free.  The T0 family is
-    different: a repeated address is *not* ``prev + S``, so a naive encoder
-    drops out of frozen mode (unfreezing the bus lines and toggling INC) —
-    which is why real T0 deployments gate the encoder with the bus-valid
-    strobe instead of feeding it wait states.  The tests pin both facts.
-    """
-    if not 0.0 <= idle_fraction < 0.95:
-        raise ValueError(
-            f"idle fraction must be in [0, 0.95), got {idle_fraction}"
-        )
-    if not trace.addresses:
-        return trace
-    rng = random.Random(seed + 0x1D7E)
-    addresses: List[int] = []
-    sels: List[int] = []
-    source_sels = trace.effective_sels()
-    for address, sel in zip(trace.addresses, source_sels):
-        addresses.append(address)
-        sels.append(sel)
-        while rng.random() < idle_fraction:
-            addresses.append(address)
-            sels.append(sel)
-    return AddressTrace(
-        name=f"{trace.name}.idle",
-        addresses=tuple(addresses),
-        sels=tuple(sels) if trace.sels is not None else None,
-        kind=trace.kind,
-        width=trace.width,
-        stride=trace.stride,
-    )
-
-
 # ---------------------------------------------------------------------------
 # DMA / I/O traffic
 # ---------------------------------------------------------------------------

@@ -1,12 +1,5 @@
 """Clean stand-ins for the core framework the broken modules build on."""
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class CodecState:
-    pass
-
 
 class BusEncoder:
     def encode(self, address, sel):

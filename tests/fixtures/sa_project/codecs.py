@@ -1,23 +1,6 @@
-"""Purity violations: one each for SA001, SA002, SA003 and SA004."""
+"""Purity violations: one each for SA003 and SA004."""
 
-from dataclasses import dataclass
-
-from sa_project.base import BusDecoder, BusEncoder, CodecState
-
-
-class LeakyEncoder(BusEncoder):
-    """SA001: ``step`` writes an instance register directly."""
-
-    def step(self, state, address, sel):
-        self.last_address = address  # the one SA001 violation
-        return state, address
-
-
-@dataclass
-class UnfrozenState(CodecState):
-    """SA002: a CodecState subclass that is not frozen."""
-
-    previous: int = 0
+from sa_project.base import BusDecoder, BusEncoder
 
 
 class SharedHistoryEncoder(BusEncoder):
@@ -45,11 +28,8 @@ class GoodEncoder(BusEncoder):
         self.previous = 0
 
     def encode(self, address, sel):
-        self.previous = address  # encode (stateful API) may write self
+        self.previous = address  # encode may write its own registers
         return address
-
-    def step(self, state, address, sel):
-        return state, address
 
 
 class GoodDecoder(BusDecoder):

@@ -4,5 +4,4 @@ CODEC_CONTRACTS = {
     "goodcodec": "no redundant lines; identity mapping",
     "badcodec": "no redundant lines; identity mapping",
     "nospec": "no redundant lines; identity mapping",
-    "nomatrix": "no redundant lines; identity mapping",
 }

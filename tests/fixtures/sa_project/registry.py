@@ -1,8 +1,8 @@
-"""Registry wiring: one violation each for SA012, SA013, SA014, SA015.
+"""Registry wiring: one violation each for SA012, SA013 and SA015.
 
-Five codecs are registered.  ``goodcodec`` is fully wired (spec entries,
-contract entry, matrix entry, complete ``Codec(...)`` metadata) and must
-stay quiet.  The other four each miss exactly one thing.
+Four codecs are registered.  ``goodcodec`` is fully wired (spec entries,
+contract entry, complete ``Codec(...)`` metadata) and must stay quiet.
+The other three each miss exactly one thing.
 """
 
 from sa_project.base import Codec, register_codec
@@ -34,11 +34,4 @@ def build_nospec(width):
 def build_nocontract(width):
     return Codec(
         name="nocontract", encoder_cls=GoodEncoder, decoder_cls=GoodDecoder
-    )
-
-
-@register_codec("nomatrix")
-def build_nomatrix(width):
-    return Codec(
-        name="nomatrix", encoder_cls=GoodEncoder, decoder_cls=GoodDecoder
     )

@@ -12,6 +12,4 @@ SPEC_BUILDERS = {
     ("badcodec", "decoder"): _spec,
     ("nocontract", "encoder"): _spec,
     ("nocontract", "decoder"): _spec,
-    ("nomatrix", "encoder"): _spec,
-    ("nomatrix", "decoder"): _spec,
 }

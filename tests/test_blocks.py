@@ -45,13 +45,6 @@ class TestWordOps:
         assert got == a ^ b
 
     @given(st.integers(min_value=0, max_value=255))
-    def test_invert_word(self, a):
-        got = _eval_combinational(
-            lambda nl, x, _: blocks.invert_word(nl, x), 8, a
-        )
-        assert got == (~a) & 0xFF
-
-    @given(st.integers(min_value=0, max_value=255))
     def test_buffer_word(self, a):
         got = _eval_combinational(
             lambda nl, x, _: blocks.buffer_word(nl, x), 8, a
@@ -154,20 +147,16 @@ class TestArithmeticBlocks:
         nl = Netlist()
         nets = nl.add_inputs("a", len(bits))
         nl.mark_output(blocks.and_reduce(nl, nets), "and")
-        nl.mark_output(blocks.or_reduce(nl, nets), "or")
         row = nl.simulate([bits]).outputs[0]
         assert row[0] == int(all(bits))
-        assert row[1] == int(any(bits))
 
     def test_empty_reductions(self):
         nl = Netlist()
         assert nl.simulate  # netlist exists
         and_net = blocks.and_reduce(nl, [])
-        or_net = blocks.or_reduce(nl, [])
         nl.mark_output(and_net, "and")
-        nl.mark_output(or_net, "or")
         row = nl.simulate([[]]).outputs[0]
-        assert row == (1, 0)
+        assert row == (1,)
 
     def test_full_adder_truth_table(self):
         for a in (0, 1):

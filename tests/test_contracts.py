@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis import (
-    check_all_codecs,
     check_codec,
     explore_state_space,
     small_width_params,
@@ -29,11 +28,6 @@ class TestRegistryIsClean:
         report = check_codec(name, width=4, max_states=4096)
         assert report.ok, report.render(verbose=True)
         assert not report.warnings, report.render(verbose=True)
-
-    def test_check_all_codecs_covers_registry(self):
-        reports = check_all_codecs(width=4, max_states=256)
-        assert len(reports) == len(available_codecs())
-        assert all(report.ok for report in reports)
 
     @pytest.mark.parametrize(
         "name",

@@ -9,13 +9,10 @@ from hypothesis import strategies as st
 
 from repro.core.word import EncodedWord
 from repro.metrics import (
-    address_entropy,
     count_transitions,
     count_transitions_fast,
-    hamming_matrix,
     in_sequence_fraction,
     in_sequence_fraction_fast,
-    line_activity_profile,
 )
 from repro.tracegen import (
     dma_stream,
@@ -125,31 +122,3 @@ class TestFastMetrics:
     def test_rejects_2d(self):
         with pytest.raises(ValueError):
             in_sequence_fraction_fast(np.zeros((2, 2), dtype=np.uint64))
-
-    def test_hamming_matrix(self):
-        matrix = hamming_matrix([0b00, 0b01, 0b11])
-        assert matrix.tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
-
-
-class TestNewStats:
-    def test_line_activity_profile_shape(self):
-        profile = line_activity_profile([0, 4, 8, 12], width=32)
-        assert len(profile) == 32
-        assert profile[2] == 1.0  # bit 2 toggles every +4 increment
-        assert profile[31] == 0.0
-
-    def test_line_activity_validation(self):
-        with pytest.raises(ValueError):
-            line_activity_profile([1, 2], width=0)
-
-    def test_entropy_extremes(self):
-        assert address_entropy([]) == 0.0
-        assert address_entropy([42] * 100) == 0.0
-        assert address_entropy([0, 1, 2, 3]) == pytest.approx(2.0)
-
-    def test_entropy_orders_workloads(self):
-        from repro.tracegen import random_stream
-
-        repetitive = [0x100, 0x104] * 500
-        random_values = list(random_stream(1000, seed=5).addresses)
-        assert address_entropy(repetitive) < address_entropy(random_values)

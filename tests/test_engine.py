@@ -129,20 +129,32 @@ class TestResultCache:
         assert cache.get(key) is None
 
 
+def _assert_matches_oracle_row(stream, codecs):
+    addresses, sels = stream
+    expected = oracle_row(codecs, addresses, sels, benchmark="b")
+    for config in (
+        None,
+        ExecutionConfig(),
+        ExecutionConfig(kernels=False),
+        ExecutionConfig(jobs=2),
+        ExecutionConfig(jobs=2, kernels=False),
+    ):
+        row = compare_codecs(
+            codecs, addresses, sels, benchmark="b", config=config
+        )
+        assert row == expected
+
+
 class TestEngineRuns:
     def test_matches_scalar_oracle_row(self, stream, codecs):
-        addresses, sels = stream
-        expected = oracle_row(codecs, addresses, sels, benchmark="b")
-        for config in (
-            None,
-            ExecutionConfig(),
-            ExecutionConfig(kernels=False),
-            ExecutionConfig(jobs=2),
-        ):
-            row = compare_codecs(
-                codecs, addresses, sels, benchmark="b", config=config
-            )
-            assert row == expected
+        _assert_matches_oracle_row(stream, codecs)
+
+    def test_fallback_roster_matches_scalar_oracle_row(self, stream):
+        # mtf and wze have no encode kernel, so their cells run
+        # encode_stream, here also inside pool workers.
+        _assert_matches_oracle_row(
+            stream, [make_codec(name, 32) for name in ("mtf", "wze", "inc-xor")]
+        )
 
     def test_removed_kwargs_raise_type_error(self, stream, codecs):
         from repro.experiments import simulate_codecs, table2
@@ -201,8 +213,6 @@ class TestEngineRuns:
         assert config.engine() is config.engine()
         with pytest.raises(ValueError):
             ExecutionConfig(jobs=0)
-        with pytest.raises(ValueError):
-            ExecutionConfig(chunk_size=0)
         with pytest.raises(ValueError):
             ExecutionConfig(cache_max_bytes=0)
 
@@ -492,5 +502,3 @@ class TestTablesCli:
         assert "no such table" in capsys.readouterr().err
         assert main(["tables", "2", "--jobs", "0"]) == 2
         assert "--jobs" in capsys.readouterr().err
-        assert main(["tables", "2", "--chunk-size", "0"]) == 2
-        assert "--chunk-size" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Columnar numpy kernels: bit-identity with the steppable reference path.
+"""Columnar numpy kernels: bit-identity with the per-cycle reference path.
 
 The kernels (:mod:`repro.core.kernels`) encode a whole stream as one
 packed uint64 vector.  These tests lock the contract the engine's fast
@@ -37,7 +37,6 @@ from repro.engine import (
     make_cell,
 )
 from repro.engine import cache as engine_cache
-from repro.engine.cells import chunked_encode
 from repro.metrics import compare_codecs, count_transitions
 from repro.metrics.fast import _as_u64, count_packed, pack_words
 from repro.obs import metrics as obs_metrics
@@ -51,7 +50,6 @@ DECODE_CODECS = sorted(kernels._DECODE_KERNELS)
 FALLBACK_CODECS = ("beach", "mtf", "wze")
 
 WIDTHS = (1, 8, 32)
-CHUNK_SIZES = (1, 7, 1024)
 
 SEL_PATTERNS = {
     "mixed": None,  # the stream's own instruction/data mix
@@ -187,22 +185,6 @@ class TestBitIdentity:
         assert result.to_words() == []
         assert result.report().total == 0
         assert result.report().cycles == 0
-
-
-class TestChunkHandoffParity:
-    """The kernel equals the engine's chunked steppable path — the exact
-    handoff a worker performs at every chunk boundary."""
-
-    @pytest.mark.parametrize("name", KERNEL_CODECS)
-    @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-    def test_kernel_matches_chunked_encode(self, name, chunk_size):
-        addresses, sels = _stream("mixed")
-        codec = _kernel_codec(name)
-        chunked = pack_words(
-            chunked_encode(codec, addresses, sels, chunk_size), width=32
-        )
-        result = kernels.encode_stream_kernel(codec, addresses, sels)
-        assert np.array_equal(result.packed, chunked)
 
 
 def _pair_streams(width):

@@ -4,17 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.word import EncodedWord
+from repro.core.word import EncodedWord, hamming
 from repro.metrics import (
     binary_transitions,
     count_transitions,
     in_sequence_fraction,
-    instruction_slot_sequence_fraction,
     mean_jump_hamming,
     per_type_in_sequence_fraction,
     run_length_histogram,
     stream_statistics,
-    transition_profile,
 )
 
 
@@ -80,7 +78,11 @@ class TestCountTransitions:
     )
     def test_matches_profile_and_fast_path(self, values):
         report = count_transitions(words(*values), width=16)
-        assert report.total == sum(transition_profile(words(*values), width=16))
+        stream = words(*values)
+        assert report.total == sum(
+            hamming(prev.packed(16), cur.packed(16))
+            for prev, cur in zip(stream, stream[1:])
+        )
         assert report.total == binary_transitions(values)
 
 
@@ -100,12 +102,6 @@ class TestStreamStatistics:
         assert per_type_in_sequence_fraction(addresses, sels, stride=4) == (
             pytest.approx(2 / 3)
         )
-
-    def test_instruction_slot_fraction(self):
-        addresses = [0, 100, 4, 96, 12]
-        sels = [1, 0, 1, 0, 1]
-        # I slots: 0 -> 4 (hit), 4 -> 12 (miss).
-        assert instruction_slot_sequence_fraction(addresses, sels, stride=4) == 0.5
 
     def test_run_length_histogram(self):
         stream = [0, 4, 8, 100, 200, 204]

@@ -11,7 +11,7 @@ from repro.experiments.power_tables import (
     table8,
     table9,
 )
-from repro.metrics import count_transitions, hamming_matrix
+from repro.metrics import count_transitions
 from repro.tracegen import AddressTrace, get_profile, multiplexed_trace
 
 
@@ -82,12 +82,6 @@ class TestTraceCorners:
 
 
 class TestMetricsCorners:
-    def test_hamming_matrix_large_values(self):
-        matrix = hamming_matrix([0, 0xFFFFFFFF, 0xF0F0F0F0])
-        assert matrix[0][1] == 32
-        assert matrix[0][2] == 16
-        assert matrix[1][2] == 16
-
     def test_count_transitions_with_initial_and_extras(self):
         stream = [EncodedWord(0b11, (1,))]
         report = count_transitions(

@@ -354,8 +354,11 @@ class TestOverhead:
         # a loaded box cannot fail the 5% budget, then re-measure once
         # before declaring a violation.
         for _attempt in range(2):
-            bare_t = min(_timed(bare) for _ in range(5))
-            instr_t = min(_timed(instrumented) for _ in range(5))
+            bare_times, instr_times = [], []
+            for _ in range(5):
+                bare_times.append(_timed(bare))
+                instr_times.append(_timed(instrumented))
+            bare_t, instr_t = min(bare_times), min(instr_times)
             if instr_t <= bare_t * 1.05:
                 break
         assert instr_t <= bare_t * 1.05, (

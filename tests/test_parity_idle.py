@@ -1,4 +1,4 @@
-"""Tests for parity protection and bus idle-cycle modeling."""
+"""Tests for parity protection and single-wire fault campaigns."""
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +14,6 @@ from repro.reliability import (
 )
 from repro.tracegen import (
     get_profile,
-    insert_idle_cycles,
     multiplexed_trace,
     sequential_stream,
 )
@@ -92,85 +91,3 @@ class TestParityProtection:
     def test_parity_roundtrip_property(self, stream):
         codec = parity_protected(make_codec("t0bi", 32))
         verify_roundtrip(codec, stream)
-
-
-class TestIdleCycles:
-    def test_validation(self):
-        trace = sequential_stream(10)
-        with pytest.raises(ValueError):
-            insert_idle_cycles(trace, 1.0)
-        with pytest.raises(ValueError):
-            insert_idle_cycles(trace, -0.1)
-
-    def test_zero_fraction_identity(self):
-        trace = sequential_stream(50)
-        assert insert_idle_cycles(trace, 0.0).addresses == trace.addresses
-
-    def test_stretches_stream(self):
-        trace = sequential_stream(500)
-        idle = insert_idle_cycles(trace, 0.4, seed=1)
-        assert len(idle) > len(trace) * 1.2
-
-    def test_original_order_preserved(self):
-        trace = sequential_stream(200)
-        idle = insert_idle_cycles(trace, 0.3, seed=2)
-        deduped = [idle.addresses[0]]
-        for address in idle.addresses[1:]:
-            if address != deduped[-1]:
-                deduped.append(address)
-        assert tuple(deduped) == trace.addresses
-
-    @pytest.mark.parametrize("name", ["binary", "gray", "bus-invert", "pbi"])
-    def test_idle_cycles_free_under_memoryless_codes(self, name):
-        """A held address changes no wires under the memoryless codes, so
-        total transitions are unchanged by wait states."""
-        trace = multiplexed_trace(get_profile("espresso"), 2000)
-        idle = insert_idle_cycles(trace, 0.3, seed=3)
-        codec = make_codec(name, 32)
-        plain_total = count_transitions(
-            codec.make_encoder().encode_stream(trace.addresses, trace.sels),
-            width=32,
-        ).total
-        idle_total = count_transitions(
-            codec.make_encoder().encode_stream(idle.addresses, idle.sels),
-            width=32,
-        ).total
-        assert idle_total == plain_total
-
-    def test_idle_cycles_break_t0_freezing(self):
-        """The deployment caveat the module documents: a repeated address is
-        not ``prev + S``, so naive wait states unfreeze the T0 bus and cost
-        real transitions — gate the encoder with bus-valid instead."""
-        trace = sequential_stream(2000)
-        idle = insert_idle_cycles(trace, 0.3, seed=3)
-        codec = make_codec("t0", 32)
-        plain_total = count_transitions(
-            codec.make_encoder().encode_stream(trace.addresses), width=32
-        ).total
-        idle_total = count_transitions(
-            codec.make_encoder().encode_stream(idle.addresses), width=32
-        ).total
-        assert plain_total <= 1  # fully frozen without wait states
-        assert idle_total > 100  # badly broken with them
-
-    def test_gating_with_bus_valid_restores_t0(self):
-        """Filtering the wait states back out (what the valid strobe does in
-        hardware) recovers the frozen bus exactly."""
-        trace = sequential_stream(2000)
-        idle = insert_idle_cycles(trace, 0.3, seed=3)
-        valid_only = [idle.addresses[0]] + [
-            cur
-            for prev, cur in zip(idle.addresses, idle.addresses[1:])
-            if cur != prev
-        ]
-        codec = make_codec("t0", 32)
-        total = count_transitions(
-            codec.make_encoder().encode_stream(valid_only), width=32
-        ).total
-        assert total <= 1
-
-    def test_idle_roundtrip(self):
-        trace = multiplexed_trace(get_profile("gzip"), 500)
-        idle = insert_idle_cycles(trace, 0.25, seed=4)
-        for name in ("t0", "dualt0bi", "wze", "mtf"):
-            verify_roundtrip(make_codec(name, 32), idle.addresses, idle.sels)

@@ -13,7 +13,6 @@ from repro.obs import (
     render_tree,
     run_profile,
     span,
-    span_percentiles,
     write_flame,
 )
 from repro.obs import trace as obs_trace
@@ -222,11 +221,12 @@ class TestSpanPercentiles:
         events = _span_events(spans)
         histograms = span_histograms(events, ["encode"])
         assert histograms["encode"].count == 4
-        stats = span_percentiles(events, ["encode"])
+        p50 = histograms["encode"].percentile(0.50) / US_PER_S
+        p95 = histograms["encode"].percentile(0.95) / US_PER_S
         # Bucket estimates bracket the true quantiles (durations are
         # observed in microseconds, so none of these collapse to zero).
-        assert 2.0 <= stats["encode"]["p50"] <= 4.0
-        assert stats["encode"]["p50"] <= stats["encode"]["p95"] <= 8.0
+        assert 2.0 <= p50 <= 4.0
+        assert p50 <= p95 <= 8.0
 
     def test_charging_rule_matches_aggregate(self):
         # A nested encode under encode counts once, like aggregate_stages.

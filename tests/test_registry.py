@@ -15,6 +15,8 @@ from repro.core import (
 from repro.core.binary import BinaryDecoder, BinaryEncoder
 from repro.core.word import EncodedWord
 
+from tests.conftest import ALL_SIMPLE_CODECS
+
 
 class TestRegistry:
     def test_all_expected_codecs_registered(self):
@@ -33,6 +35,10 @@ class TestRegistry:
             "beach",
         ):
             assert expected in names
+
+    def test_unbuildable_params_raise_at_make_codec(self):
+        with pytest.raises(ValueError, match="cannot split 3 lines"):
+            make_codec("pbi", 3)
 
     def test_unknown_codec_raises_with_listing(self):
         with pytest.raises(KeyError, match="binary"):
@@ -90,3 +96,44 @@ class TestStreamHelpers:
 class _OffByOneDecoder(BinaryDecoder):
     def decode(self, word: EncodedWord, sel: int = 1) -> int:
         return (super().decode(word, sel) + 1) & 0xFFFFFFFF
+
+
+def _codec(name: str, width: int = 32):
+    return make_codec(name, width)
+
+
+class TestExtraLines:
+    @pytest.mark.parametrize("name", ALL_SIMPLE_CODECS)
+    def test_matches_encoder_instance(self, name):
+        codec = _codec(name)
+        assert codec.extra_lines == tuple(codec.make_encoder().extra_lines)
+
+    def test_pbi_partition_dependent_lines(self):
+        assert make_codec("pbi", 32, partitions=2).extra_lines == (
+            "INV0",
+            "INV1",
+        )
+        assert make_codec("pbi", 32, partitions=4).extra_lines == (
+            "INV0",
+            "INV1",
+            "INV2",
+            "INV3",
+        )
+
+    def test_property_does_not_rebuild_encoders(self):
+        codec = make_codec("t0", 32)
+        built = []
+        original = codec.encoder_factory
+        codec.encoder_factory = lambda: built.append(1) or original()
+        assert codec.extra_lines == ("INC",)
+        assert codec.extra_lines == ("INC",)
+        assert built == []  # class-declared lines: no instance ever built
+
+    def test_property_caches_instance_probe(self):
+        codec = make_codec("pbi", 32, partitions=2)
+        built = []
+        original = codec.encoder_factory
+        codec.encoder_factory = lambda: built.append(1) or original()
+        assert codec.extra_lines == ("INV0", "INV1")
+        assert codec.extra_lines == ("INV0", "INV1")
+        assert len(built) == 1  # instance-declared lines: probed once

@@ -10,7 +10,7 @@ import random
 import pytest
 
 from repro.analysis import small_width_params
-from repro.core.base import verify_roundtrip
+from repro.core.base import decode_stream, encode_stream, verify_roundtrip
 from repro.core.registry import available_codecs, make_codec
 
 WIDTHS = [1, 4, 8, 32]
@@ -84,3 +84,23 @@ def test_fresh_instances_are_independent(name):
     words_first = [first.encode(a, s) for a, s in zip(addresses, sels)]
     words_second = [second.encode(a, s) for a, s in zip(addresses, sels)]
     assert words_first == words_second
+
+
+class TestStreamLengthValidation:
+    def test_encode_stream_rejects_mismatched_lengths(self):
+        codec = make_codec("t0", 32)
+        with pytest.raises(ValueError, match="3.*2|addresses length"):
+            encode_stream(codec, [0, 4, 8], [1, 1])
+
+    def test_decode_stream_rejects_mismatched_lengths(self):
+        codec = make_codec("t0", 32)
+        words = encode_stream(codec, [0, 4, 8], [1, 1, 1])
+        with pytest.raises(ValueError, match="words length 3 != sels length 1"):
+            decode_stream(codec, words, [1])
+
+    def test_error_reports_both_lengths(self):
+        codec = make_codec("gray", 32)
+        with pytest.raises(
+            ValueError, match="addresses length 4 != sels length 2"
+        ):
+            encode_stream(codec, [0, 4, 8, 12], [1, 0])

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.analysis.activity import input_statistics
 from repro.rtl import blocks
 from repro.rtl.codecs import ENCODER_BUILDERS
 from repro.rtl.gates import BUF, XOR2
@@ -13,7 +14,6 @@ from repro.rtl.power import (
     effective_densities,
     estimate_from_simulation,
     estimate_probabilistic,
-    stream_line_statistics,
 )
 
 from tests.conftest import make_mixed_stream
@@ -25,6 +25,13 @@ def _toggle_netlist():
     a = nl.add_input("a")
     nl.mark_output(nl.add_gate(BUF, a), "y")
     return nl
+
+
+def _line_statistics(addresses, width):
+    """Per-line (probability, activity) of a word stream."""
+    return input_statistics(
+        [[(address >> bit) & 1 for bit in range(width)] for address in addresses]
+    )
 
 
 class TestSimulativeEstimation:
@@ -137,7 +144,7 @@ class TestProbabilisticEstimation:
         addresses = [a & 0xFFFF for a in addresses]
         result, _ = circuit.run(addresses, sels)
         simulated = estimate_from_simulation(result, output_load=0.2e-12)
-        probabilities, activities = stream_line_statistics(addresses, 16)
+        probabilities, activities = _line_statistics(addresses, 16)
         propagated = estimate_probabilistic(
             circuit.netlist, probabilities, activities, output_load=0.2e-12
         )
@@ -152,28 +159,12 @@ class TestProbabilisticEstimation:
         addresses = [a & 0xFFFF for a in addresses]
         result, _ = circuit.run(addresses, sels)
         simulated = estimate_from_simulation(result, output_load=0.2e-12)
-        probabilities, activities = stream_line_statistics(addresses, 16)
+        probabilities, activities = _line_statistics(addresses, 16)
         propagated = estimate_probabilistic(
             circuit.netlist, probabilities, activities, output_load=0.2e-12
         )
         ratio = propagated.total / simulated.total
         assert 0.3 < ratio < 3.0
-
-
-class TestStreamLineStatistics:
-    def test_constant_stream(self):
-        probabilities, activities = stream_line_statistics([0b11, 0b11], 2)
-        assert probabilities == [1.0, 1.0]
-        assert activities == [0.0, 0.0]
-
-    def test_alternating_stream(self):
-        probabilities, activities = stream_line_statistics([0b01, 0b10] * 5, 2)
-        assert activities == [1.0, 1.0]
-        assert probabilities == [0.5, 0.5]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            stream_line_statistics([], 4)
 
 
 class TestPads:

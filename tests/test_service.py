@@ -121,6 +121,39 @@ class TestProtocol:
         with pytest.raises(ProtocolError):
             parse_request(eval_payload(**mutation))
 
+    @pytest.mark.parametrize(
+        "mutation, match",
+        [
+            ({"width": True}, "'width'"),
+            ({"stride": True}, "'stride'"),
+            ({"trace": {"addresses": [True, 4, 8]}}, "non-negative integers"),
+            (
+                {"trace": {"addresses": [1, 2], "sels": [True, 0]}},
+                "'sels'",
+            ),
+            (
+                {"width": 8, "trace": {"addresses": [4, 2**40, 2**41]}},
+                r"address #1 \(0x10000000000\) does not fit a 8-bit bus",
+            ),
+            (
+                {"width": 64, "trace": {"addresses": [0, 2**64]}},
+                r"address #1 .* does not fit a 64-bit bus",
+            ),
+        ],
+        ids=[
+            "bool-width",
+            "bool-stride",
+            "bool-address",
+            "bool-sel",
+            "address-wider-than-width",
+            "address-past-64-bits",
+        ],
+    )
+    def test_admission_rejects_type_and_range_holes(self, mutation, match):
+        with pytest.raises(ProtocolError, match=match) as excinfo:
+            parse_request(eval_payload(**mutation))
+        assert excinfo.value.http_status == 400
+
     def test_needs_exactly_one_trace_source(self):
         both = eval_payload(trace_digest=DIGEST)
         with pytest.raises(ProtocolError, match="exactly one"):
@@ -376,6 +409,21 @@ class TestEvaluationService:
                 )
             assert excinfo.value.http_status == 422
             assert "circuit" in str(excinfo.value)
+
+        run_on_service(scenario)
+
+    def test_unbuildable_codec_is_422(self):
+        # pbi's four partitions cannot split a 3-line bus.
+        async def scenario(service):
+            with pytest.raises(ProtocolError, match="cannot build") as excinfo:
+                service.submit(
+                    eval_payload(
+                        codecs=["pbi"],
+                        width=3,
+                        trace={"addresses": [1, 4, 7], "sels": [1, 1, 0]},
+                    )
+                )
+            assert excinfo.value.http_status == 422
 
         run_on_service(scenario)
 

@@ -42,7 +42,6 @@ def fixture_config() -> ProjectConfig:
         registry_modules=("sa_project.registry",),
         specs_module="sa_project.specs",
         contracts_module="sa_project.contracts",
-        matrix_modules=("sa_project.step_matrix",),
     )
 
 
@@ -59,9 +58,6 @@ def shipped_result():
         package="repro",
         config=config,
         baseline_path=BASELINE,
-        extra_files=[
-            (REPO_ROOT / "tests" / "test_step_api.py", "tests.test_step_api")
-        ],
     )
 
 
@@ -86,8 +82,6 @@ def test_fixture_total_matches_catalog(fixture_result):
 
 def test_fixture_subjects_pin_the_seeded_sites(fixture_result):
     by_rule = {f.rule: f for f in fixture_result.new_findings}
-    assert by_rule["SA001"].subject == "LeakyEncoder.step"
-    assert by_rule["SA002"].subject == "UnfrozenState"
     assert by_rule["SA003"].subject == "SharedHistoryEncoder.history"
     assert by_rule["SA004"].subject == "StickyDefaultsEncoder.encode"
     assert "compute_cell" in by_rule["SA005"].subject
@@ -108,10 +102,6 @@ def test_registry_completeness_catches_missing_spec(fixture_result):
         f for f in fixture_result.new_findings if f.rule == "SA013"
     ]
     assert [f.subject for f in missing_contract] == ["nocontract"]
-    missing_matrix = [
-        f for f in fixture_result.new_findings if f.rule == "SA014"
-    ]
-    assert [f.subject for f in missing_matrix] == ["nomatrix"]
 
 
 def test_clean_fixture_classes_stay_quiet(fixture_result):
@@ -166,14 +156,14 @@ def test_noqa_parsing():
         [
             "x = 1",
             "y = 2  # repro: noqa",
-            "z = 3  # repro: noqa SA001, SA008",
+            "z = 3  # repro: noqa SA003, SA008",
             "w = 4  # repro: noqa SA011 - reason text",
         ]
     )
     marks = parse_suppressions(source)
     assert 1 not in marks
     assert marks[2] is None  # blanket
-    assert marks[3] == frozenset({"SA001", "SA008"})
+    assert marks[3] == frozenset({"SA003", "SA008"})
     assert marks[4] == frozenset({"SA011"})
 
 
@@ -236,9 +226,9 @@ def test_stale_baseline_entry_reported(tmp_path):
         path,
         [
             BaselineEntry(
-                rule="SA001",
+                rule="SA003",
                 module="sa_project.codecs",
-                subject="NoSuchClass.step",
+                subject="NoSuchClass.history",
                 justification="obsolete",
             )
         ],
@@ -260,9 +250,9 @@ def test_rule_filter(tmp_path):
         FIXTURE_ROOT,
         package="sa_project",
         config=fixture_config(),
-        rules=["SA001"],
+        rules=["SA003"],
     )
-    assert [f.rule for f in result.new_findings] == ["SA001"]
+    assert [f.rule for f in result.new_findings] == ["SA003"]
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +277,7 @@ def test_cli_exits_nonzero_on_fixture_tree(tmp_path, capsys):
     )
     assert code == 1
     out = capsys.readouterr().out
-    assert "SA001" in out
+    assert "SA003" in out
 
 
 def test_cli_json_output(capsys):

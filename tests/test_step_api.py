@@ -1,27 +1,25 @@
-"""The steppable codec API: pure-functional state, chunking, shims.
+"""Stepping a codec: one cycle or one chunk at a time, on copied instances.
 
-Locks the contract the batch engine depends on: a codec's registers can
-be snapshotted into an immutable :class:`CodecState`, carried across a
-chunk boundary into a *fresh* encoder/decoder instance, and resumed with
-bit-identical results — for every registered codec, every chunk size and
-every sel pattern.
+A codec end is a small register machine: ``encode``/``decode`` advance it
+by one clock cycle in place, and all of its registers live on the
+instance.  :func:`repro.analysis.contracts.explore_state_space` relies on
+that: it branches the joint encoder/decoder state with ``copy.deepcopy``
+and steps each copy by one cycle.  These tests lock the property for every
+registered codec, every chunk size and every sel pattern: an instance
+copied at any cycle boundary resumes bit-identically to the uncut
+``encode_stream``/``decode_stream`` run.
 """
 
 from __future__ import annotations
 
-import pickle
+import copy
 
 import pytest
 
-from repro.core import CodecState, available_codecs, make_codec, verify_roundtrip
-from repro.core.base import (
-    SEL_DATA,
-    SEL_INSTRUCTION,
-    decode_stream,
-    encode_stream,
-)
+from repro.core import available_codecs, make_codec
+from repro.core.base import SEL_DATA, SEL_INSTRUCTION
 
-from tests.conftest import ALL_SIMPLE_CODECS, make_mixed_stream
+from tests.conftest import make_mixed_stream
 
 CHUNK_SIZES = (1, 7, 1024)
 
@@ -58,11 +56,13 @@ class TestStepEquivalence:
         codec = _codec(name)
         reference = codec.make_encoder().encode_stream(addresses, sels)
         encoder = codec.make_encoder()
-        state = encoder.initial_state()
+        encoder.reset()
         words = []
         for address, sel in zip(addresses, sels):
-            state, word = encoder.step(state, address, sel)
-            words.append(word)
+            # Every cycle runs on a copy of the previous cycle's encoder,
+            # the branch explore_state_space takes at each reachable state.
+            encoder = copy.deepcopy(encoder)
+            words.append(encoder.encode(address, sel))
         assert words == reference
 
     @pytest.mark.parametrize("name", ALL_CODECS)
@@ -72,18 +72,18 @@ class TestStepEquivalence:
         addresses, sels = _stream(pattern)
         codec = _codec(name)
         reference = codec.make_encoder().encode_stream(addresses, sels)
-        # Every chunk runs on a brand-new encoder instance restored from
-        # the previous chunk's exit state — the engine's worker handoff.
-        state = codec.make_encoder().initial_state()
+        encoder = codec.make_encoder()
+        encoder.reset()
         words = []
         for start in range(0, len(addresses), chunk_size):
-            encoder = codec.make_encoder()
-            state, chunk = encoder.step_stream(
-                state,
-                addresses[start : start + chunk_size],
-                sels[start : start + chunk_size],
+            encoder = copy.deepcopy(encoder)
+            words.extend(
+                encoder.encode(address, sel)
+                for address, sel in zip(
+                    addresses[start : start + chunk_size],
+                    sels[start : start + chunk_size],
+                )
             )
-            words.extend(chunk)
         assert words == reference
 
     @pytest.mark.parametrize("name", ALL_CODECS)
@@ -91,118 +91,15 @@ class TestStepEquivalence:
         addresses, sels = _stream("mixed")
         codec = _codec(name)
         words = codec.make_encoder().encode_stream(addresses, sels)
-        state = codec.make_decoder().initial_state()
+        decoder = codec.make_decoder()
+        decoder.reset()
         decoded = []
         for start in range(0, len(words), 13):
-            decoder = codec.make_decoder()
-            state, chunk = decoder.step_stream(
-                state, words[start : start + 13], sels[start : start + 13]
+            decoder = copy.deepcopy(decoder)
+            decoded.extend(
+                decoder.decode(word, sel)
+                for word, sel in zip(
+                    words[start : start + 13], sels[start : start + 13]
+                )
             )
-            decoded.extend(chunk)
         assert decoded == addresses
-
-
-class TestCodecState:
-    def test_state_is_immutable_and_hashable(self):
-        encoder = make_codec("t0", 32).make_encoder()
-        state = encoder.initial_state()
-        assert isinstance(state, CodecState)
-        hash(state)  # hashable by construction
-        with pytest.raises(AttributeError):
-            state.payload = ()
-
-    def test_step_does_not_mutate_input_state(self):
-        encoder = make_codec("bus-invert", 16).make_encoder()
-        state = encoder.initial_state()
-        later, _ = encoder.step(state, 0xFFFF)
-        again, word = encoder.step(state, 0xFFFF)
-        assert later == again  # same input state -> same output, both times
-        assert state == encoder.initial_state()
-
-    @pytest.mark.parametrize("name", ALL_SIMPLE_CODECS)
-    def test_state_survives_pickling(self, name):
-        """States cross process boundaries — the engine's chunk handoff."""
-        addresses, sels = _stream("mixed", length=50)
-        codec = _codec(name)
-        encoder = codec.make_encoder()
-        state = encoder.initial_state()
-        for address, sel in zip(addresses[:25], sels[:25]):
-            state, _ = encoder.step(state, address, sel)
-        revived = pickle.loads(pickle.dumps(state))
-        assert revived == state
-        tail_a = codec.make_encoder().step_stream(
-            state, addresses[25:], sels[25:]
-        )[1]
-        tail_b = codec.make_encoder().step_stream(
-            revived, addresses[25:], sels[25:]
-        )[1]
-        assert tail_a == tail_b
-
-    def test_restore_rejects_foreign_state(self):
-        t0 = make_codec("t0", 32).make_encoder()
-        gray = make_codec("gray", 32).make_encoder()
-        with pytest.raises(ValueError, match="cannot restore"):
-            gray.restore_state(t0.initial_state())
-
-
-class TestStreamLengthValidation:
-    def test_encode_stream_rejects_mismatched_lengths(self):
-        codec = make_codec("t0", 32)
-        with pytest.raises(ValueError, match="3.*2|addresses length"):
-            encode_stream(codec, [0, 4, 8], [1, 1])
-
-    def test_decode_stream_rejects_mismatched_lengths(self):
-        codec = make_codec("t0", 32)
-        words = encode_stream(codec, [0, 4, 8], [1, 1, 1])
-        with pytest.raises(ValueError, match="words length 3 != sels length 1"):
-            decode_stream(codec, words, [1])
-
-    def test_error_reports_both_lengths(self):
-        codec = make_codec("gray", 32)
-        with pytest.raises(
-            ValueError, match="addresses length 4 != sels length 2"
-        ):
-            encode_stream(codec, [0, 4, 8, 12], [1, 0])
-
-    def test_step_stream_rejects_mismatched_lengths(self):
-        encoder = make_codec("t0", 32).make_encoder()
-        state = encoder.initial_state()
-        with pytest.raises(ValueError, match="addresses length 2 != sels"):
-            encoder.step_stream(state, [0, 4], [1])
-
-
-class TestExtraLines:
-    @pytest.mark.parametrize("name", ALL_SIMPLE_CODECS)
-    def test_matches_encoder_instance(self, name):
-        codec = _codec(name)
-        assert codec.extra_lines == tuple(codec.make_encoder().extra_lines)
-
-    def test_pbi_partition_dependent_lines(self):
-        assert make_codec("pbi", 32, partitions=2).extra_lines == (
-            "INV0",
-            "INV1",
-        )
-        assert make_codec("pbi", 32, partitions=4).extra_lines == (
-            "INV0",
-            "INV1",
-            "INV2",
-            "INV3",
-        )
-
-    def test_property_does_not_rebuild_encoders(self):
-        codec = make_codec("t0", 32)
-        built = []
-        original = codec.encoder_factory
-        codec.encoder_factory = lambda: built.append(1) or original()
-        assert codec.extra_lines == ("INC",)
-        assert codec.extra_lines == ("INC",)
-        assert built == []  # class-declared lines: no instance ever built
-
-    def test_property_caches_instance_probe(self):
-        codec = make_codec("pbi", 32, partitions=2)
-        built = []
-        original = codec.encoder_factory
-        codec.encoder_factory = lambda: built.append(1) or original()
-        assert codec.extra_lines == ("INV0", "INV1")
-        assert codec.extra_lines == ("INV0", "INV1")
-        assert len(built) == 1  # instance-declared lines: probed once
