@@ -10,7 +10,8 @@ seeded million-address mixed stream:
   encoder's, and its transition report equals the reference counter's;
 * the kernel path is at least ``MIN_SPEEDUP_T0``x faster than the
   reference ``encode_stream`` on the t0 code (and ``MIN_SPEEDUP_ANY``x on
-  every measured codec);
+  every measured codec), each side timed as its fastest of
+  ``TIMING_RUNS`` runs;
 * Table 2 renders **byte-identically** with kernels on, kernels off and
   no engine at all.
 
@@ -64,10 +65,19 @@ def _million_address_stream(length: int = TRACE_LENGTH, seed: int = 98):
     return addresses, sels
 
 
-def _timed(workload):
-    started = time.perf_counter()
-    result = workload()
-    return result, time.perf_counter() - started
+#: Each side of a speedup is the fastest of this many runs: one ~0.06 s
+#: kernel sample varies by a third on a busy 2-core host.
+TIMING_RUNS = 3
+
+
+def _best_of(workload, runs=TIMING_RUNS):
+    """``(result, seconds)``: the last run's result and the fastest run."""
+    best = float("inf")
+    for _ in range(runs):
+        started = time.perf_counter()
+        result = workload()
+        best = min(best, time.perf_counter() - started)
+    return result, best
 
 
 def test_kernel_speedup_and_bit_identity(results_dir, benchmark):
@@ -78,17 +88,17 @@ def test_kernel_speedup_and_bit_identity(results_dir, benchmark):
     rows = {}
     for name in CODEC_NAMES:
         codec = make_codec(name, 32)
-        result, kernel_s = _timed(
-            lambda: kernels.encode_stream_kernel(codec, addresses, sels)
-        )
-        kernel_report, count_s = _timed(result.report)
-        kernel_s += count_s
+
+        def kernel():
+            result = kernels.encode_stream_kernel(codec, addresses, sels)
+            return result, result.report()
 
         def reference():
             words = encode_stream(codec, address_list, sel_list)
             return words, count_transitions_fast(words, width=32)
 
-        (words, reference_report), reference_s = _timed(reference)
+        (result, kernel_report), kernel_s = _best_of(kernel)
+        (words, reference_report), reference_s = _best_of(reference)
 
         # Bit-identical streams, equal reports.
         assert np.array_equal(result.packed, pack_words(words, width=32)), name

@@ -4,7 +4,10 @@ Subcommands
 -----------
 
 * ``list-codecs``            — registered bus codes
-* ``table N``                — regenerate paper table N (1–9)
+* ``table N``                — regenerate paper table N (1–9): ``tables N``
+                               at ``--jobs 1`` with no cache
+* ``tables [N ...]``         — regenerate paper tables through the batch
+                               engine (worker pool, result cache)
 * ``serve``                  — run the codec-evaluation service: an
                                HTTP/JSON API over the sharded engine
                                with dedupe and backpressure
@@ -28,6 +31,18 @@ Subcommands
 Every subcommand also accepts the observability flags ``--trace FILE``
 (JSONL span events), ``--stats`` (counter deltas on stderr) and
 ``--manifest FILE`` (JSON provenance record of the run).
+
+Argument contract
+-----------------
+
+Every bad value prints exactly one stderr line,
+``repro-bus <command>: error: <message>``, and exits 2 — before any
+trace is generated.  Each kind of value is checked once, at parse time,
+by a shared ``type=`` callable (positive int, non-negative length,
+existing file, table number, codec name) or by ``choices=``; only a
+check that relates two flags runs in a handler, through
+:func:`_usage_error`.  ``--length 0`` always means the stream's default
+length.
 """
 
 from __future__ import annotations
@@ -36,7 +51,8 @@ import argparse
 import io
 import sys
 import time
-from typing import Any, List, Optional, Sequence
+from pathlib import Path
+from typing import Any, Callable, List, NoReturn, Optional, Sequence
 
 from repro.core import available_codecs, make_codec
 from repro.metrics import compare_codecs, render_table
@@ -51,17 +67,87 @@ from repro.tracegen import (
     trace_kernel,
 )
 
+_TRACE_MAKERS = {
+    "instruction": instruction_trace,
+    "data": data_trace,
+    "multiplexed": multiplexed_trace,
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Every parse error is one stderr line and exit 2.  Subparsers are
+    built of the parent's class, so every command inherits this."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _usage_error(command: str, message: str) -> int:
+    """A bad flag combination, reported as the parser reports one value."""
+    print(f"repro-bus {command}: error: {message}", file=sys.stderr)
+    return 2
+
+
+def _checked(
+    convert: Callable[[str], Any],
+    accept: Callable[[Any], bool],
+    complaint: Callable[[Any], str],
+) -> Callable[[str], Any]:
+    """An argparse ``type=``: ``convert`` the text, then reject the value
+    with ``complaint(value)`` unless ``accept(value)``."""
+
+    def check(text: str) -> Any:
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(complaint(value))
+        return value
+
+    check.__name__ = convert.__name__  # argparse: "invalid int value: 'x'"
+    return check
+
+
+def _formal_codecs() -> List[str]:
+    from repro.analysis.formal import FORMAL_CODECS
+
+    return FORMAL_CODECS
+
+
+_positive = _checked(int, lambda v: v > 0, lambda v: f"must be positive, got {v}")
+_length = _checked(
+    int,
+    lambda v: v >= 0,
+    lambda v: f"must be non-negative (0 means the stream's default), got {v}",
+)
+_table_number = _checked(
+    int,
+    lambda v: 1 <= v <= 9,
+    lambda v: f"no such table: {v} (paper tables are 1-9)",
+)
+_codec_name = _checked(
+    str,
+    lambda name: name in available_codecs(),
+    lambda name: f"unknown codec {name!r} "
+    f"(registered: {', '.join(available_codecs())})",
+)
+_formal_codec = _checked(
+    str,
+    lambda name: name in _formal_codecs(),
+    lambda name: f"no formal spec for codec(s): {name} "
+    f"(provable: {', '.join(_formal_codecs())})",
+)
+
+
+def _existing_file(what: str) -> Callable[[str], str]:
+    """An argparse ``type=`` accepting only the path of an existing file."""
+    return _checked(
+        str, lambda path: Path(path).is_file(), lambda path: f"no {what} file at {path}"
+    )
+
 
 def _load_trace(args: argparse.Namespace) -> AddressTrace:
-    if args.trace_file:
+    if getattr(args, "trace_file", None):
         return AddressTrace.load(args.trace_file)
-    profile = get_profile(args.benchmark)
-    makers = {
-        "instruction": instruction_trace,
-        "data": data_trace,
-        "multiplexed": multiplexed_trace,
-    }
-    return makers[args.kind](profile, args.length)
+    return _TRACE_MAKERS[args.kind](get_profile(args.benchmark), args.length)
 
 
 def _cmd_list_codecs(args: argparse.Namespace) -> int:
@@ -70,19 +156,9 @@ def _cmd_list_codecs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _usage_error(command: str, message: str) -> int:
-    """Consistent bad-argument handling: one stderr line, exit code 2."""
-    print(f"repro-bus {command}: error: {message}", file=sys.stderr)
-    return 2
-
-
 def _execution_config(args: argparse.Namespace) -> Any:
     """Build the :class:`~repro.engine.ExecutionConfig` the shared
-    execution flags (``--jobs``/``--cache``/…) describe.
-
-    Callers validate the flag values first (via :func:`_usage_error`) so
-    the CLI's bad-argument contract — one stderr line, exit 2 — holds.
-    """
+    execution flags (``--jobs``/``--cache``/…) describe."""
     from repro.engine import ExecutionConfig
 
     return ExecutionConfig(
@@ -94,35 +170,12 @@ def _execution_config(args: argparse.Namespace) -> Any:
     )
 
 
-def _validate_execution_flags(
-    command: str, args: argparse.Namespace
-) -> Optional[int]:
-    """The shared execution-flag checks; an exit code on failure."""
-    if args.jobs <= 0:
-        return _usage_error(command, f"--jobs must be positive, got {args.jobs}")
-    if args.cache_max_bytes is not None and args.cache_max_bytes <= 0:
-        return _usage_error(
-            command,
-            f"--cache-max-bytes must be positive, got {args.cache_max_bytes}",
-        )
-    return None
-
-
-def _print_table(
-    number: int, length: int, width: int, config: Optional[Any] = None
-) -> None:
-    """Print one paper table — the shared body of ``table`` and ``tables``.
-
-    Without a config the table runs on a plain ``ExecutionConfig()``
-    (one in-process worker, no cache).  The output is identical under
-    every config; that is what lets ``tables --jobs N`` be diffed
-    byte-for-byte against ``table N`` (the CI smoke gate does exactly
-    this).
-    """
+def _print_table(number: int, length: int, width: Optional[int], config: Any) -> None:
+    """Print one paper table; the output is identical under every config."""
     from repro import experiments
 
     if number == 1:
-        print(experiments.table1_text(width=width))
+        print(experiments.table1_text(width=32 if width is None else width))
         return
     if 2 <= number <= 7:
         table = experiments.TABLE_BUILDERS[number](length, config=config)
@@ -137,57 +190,27 @@ def _print_table(
         print(experiments.render_table9(experiments.table9(runs)))
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
-    number = args.number
-    if not 1 <= number <= 9:
-        return _usage_error(
-            "table", f"no such table: {number} (paper tables are 1-9)"
-        )
-    if args.width <= 0:
-        return _usage_error(
-            "table", f"--width must be positive, got {args.width}"
-        )
-    if args.length < 0:
-        return _usage_error(
-            "table", f"--length must be non-negative, got {args.length}"
-        )
-    _print_table(number, args.length, args.width)
-    return 0
-
-
 def _cmd_tables(args: argparse.Namespace) -> int:
+    """``tables`` and ``table`` (which runs at ``--jobs 1``, no cache and
+    prints no engine line)."""
     numbers = args.numbers or list(range(2, 8))
-    bad = [n for n in numbers if not 1 <= n <= 9]
-    if bad:
+    if args.width is not None and set(numbers) != {1}:
         return _usage_error(
-            "tables",
-            f"no such table(s): {', '.join(map(str, bad))} "
-            "(paper tables are 1-9)",
-        )
-    failed = _validate_execution_flags("tables", args)
-    if failed is not None:
-        return failed
-    if args.length < 0:
-        return _usage_error(
-            "tables", f"--length must be non-negative, got {args.length}"
+            args.command,
+            "--width applies to Table 1 only "
+            "(Tables 2-9 are defined on the paper's 32-bit bus)",
         )
     config = _execution_config(args)
     for position, number in enumerate(numbers):
         if position:
             print()
-        _print_table(number, args.length, args.width, config=config)
-    print(f"engine: {config.engine().stats.summary()}", file=sys.stderr)
+        _print_table(number, args.length, args.width, config)
+    if args.command == "tables":
+        print(f"engine: {config.engine().stats.summary()}", file=sys.stderr)
     return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    failed = _validate_execution_flags("serve", args)
-    if failed is not None:
-        return failed
-    if args.max_pending <= 0:
-        return _usage_error(
-            "serve", f"--max-pending must be positive, got {args.max_pending}"
-        )
     import asyncio
 
     from repro.service import TraceCorpus, run_server
@@ -237,13 +260,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    profile = get_profile(args.benchmark)
-    makers = {
-        "instruction": instruction_trace,
-        "data": data_trace,
-        "multiplexed": multiplexed_trace,
-    }
-    trace = makers[args.kind](profile, args.length)
+    trace = _load_trace(args)
     trace.save(args.output)
     print(f"wrote {len(trace)} cycles to {args.output}")
     return 0
@@ -264,18 +281,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     if args.which == "stride":
         points = experiments.stride_sweep()
-        print(
-            experiments.render_sweep(
-                points, "stride", "Ablation A — stride sensitivity"
-            )
-        )
+        column, title = "stride", "Ablation A — stride sensitivity"
     else:
         points = experiments.sequentiality_sweep()
-        print(
-            experiments.render_sweep(
-                points, "in-seq", "Ablation B — sequentiality sweep"
-            )
-        )
+        column, title = "in-seq", "Ablation B — sequentiality sweep"
+    print(experiments.render_sweep(points, column, title))
     return 0
 
 
@@ -411,25 +421,39 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
+def _report_findings(
+    args: argparse.Namespace,
+    reports: List[Any],
+    summary: Callable[[dict], str],
+    **json_extra: Any,
+) -> int:
+    """Print analysis reports (``--json`` or text, ``--verbose``) and
+    return the exit status: 1 on errors, or on warnings under ``--strict``."""
     import json
 
-    from repro.analysis import (
-        Severity,
-        check_codec,
-        check_agreement,
-        lint_circuit,
-        summarize,
-    )
+    from repro.analysis import Severity, summarize
+
+    totals = summarize(reports)
+    if args.json:
+        document = {"reports": [r.to_dict() for r in reports], "summary": totals}
+        print(json.dumps({**document, **json_extra}, indent=2))
+    else:
+        for report in reports:
+            if args.verbose or any(
+                f.severity != Severity.INFO for f in report.findings
+            ):
+                print(report.render(verbose=args.verbose))
+        print(summary(totals))
+    return 1 if totals["errors"] or (args.strict and totals["warnings"]) else 0
+
+
+def _cmd_lint(args: argparse.Namespace) -> int:
+    from repro.analysis import check_agreement, check_codec, lint_circuit
     from repro.rtl.codecs import DECODER_BUILDERS, ENCODER_BUILDERS
 
     circuit_names = sorted(ENCODER_BUILDERS)
     codec_names = available_codecs()
     if args.codecs:
-        unknown = [n for n in args.codecs if n not in codec_names]
-        if unknown:
-            print(f"unknown codec(s): {', '.join(unknown)}", file=sys.stderr)
-            return 2
         circuit_names = [n for n in circuit_names if n in args.codecs]
         codec_names = [n for n in codec_names if n in args.codecs]
 
@@ -457,36 +481,17 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 )
             )
 
-    totals = summarize(reports)
-    if args.json:
-        print(
-            json.dumps(
-                {"reports": [r.to_dict() for r in reports], "summary": totals},
-                indent=2,
-            )
-        )
-    else:
-        for report in reports:
-            interesting = args.verbose or any(
-                f.severity != Severity.INFO for f in report.findings
-            )
-            if interesting:
-                print(report.render(verbose=args.verbose))
-        print(
-            f"lint: {totals['targets']} targets — {totals['errors']} errors, "
-            f"{totals['warnings']} warnings, {totals['info']} info"
-        )
-
-    if totals["errors"]:
-        return 1
-    if args.strict and totals["warnings"]:
-        return 1
-    return 0
+    return _report_findings(
+        args,
+        reports,
+        lambda totals: f"lint: {totals['targets']} targets — "
+        f"{totals['errors']} errors, {totals['warnings']} warnings, "
+        f"{totals['info']} info",
+    )
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from repro.analysis.report import Severity
     from repro.analysis.static import (
@@ -511,11 +516,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     package_dir = Path(__file__).resolve().parent
     root = Path(args.root) if args.root else package_dir
     repo_root = root.resolve().parent.parent
-    baseline = (
-        Path(args.baseline)
-        if args.baseline
-        else repo_root / "sa-baseline.json"
-    )
+    baseline = Path(args.baseline or repo_root / "sa-baseline.json")
 
     try:
         result = run_check(
@@ -564,9 +565,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_prove(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.analysis import Severity, summarize
     from repro.analysis.contracts import replay_formal_counterexamples
     from repro.analysis.formal import (
         FORMAL_CODECS,
@@ -574,18 +572,9 @@ def _cmd_prove(args: argparse.Namespace) -> int:
         collect_replays,
         prove_codec,
     )
+    from repro.obs import metrics as obs_metrics
 
-    names = list(FORMAL_CODECS)
-    if args.codecs:
-        unknown = [n for n in args.codecs if n not in FORMAL_CODECS]
-        if unknown:
-            print(
-                f"no formal spec for codec(s): {', '.join(unknown)} "
-                f"(provable: {', '.join(FORMAL_CODECS)})",
-                file=sys.stderr,
-            )
-            return 2
-        names = [n for n in names if n in args.codecs]
+    names = [n for n in FORMAL_CODECS if not args.codecs or n in args.codecs]
 
     width = 8 if args.fast else args.width
     options = ProveOptions(
@@ -605,42 +594,18 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     if replays:
         reports.append(replay_formal_counterexamples(replays))
 
-    totals = summarize(reports)
-    if args.json:
-        from repro.obs import metrics as obs_metrics
-
-        print(
-            json.dumps(
-                {
-                    "reports": [r.to_dict() for r in reports],
-                    "summary": totals,
-                    # Engine-internal counters (BDD node budget hits, SAT
-                    # conflicts/decisions/restarts, induction cut points)
-                    # accumulated over this invocation.
-                    "metrics": obs_metrics.snapshot("formal.")["counters"],
-                },
-                indent=2,
-            )
-        )
-    else:
-        for report in reports:
-            interesting = args.verbose or any(
-                f.severity != Severity.INFO for f in report.findings
-            )
-            if interesting:
-                print(report.render(verbose=args.verbose))
+    def summary(totals: dict) -> str:
         verdict = "all proofs hold" if not totals["errors"] else "DISPROVED"
-        print(
+        return (
             f"prove: {len(names)} codecs at width {width} — "
             f"{totals['errors']} errors, {totals['warnings']} warnings, "
             f"{totals['info']} info ({verdict})"
         )
 
-    if totals["errors"]:
-        return 1
-    if args.strict and totals["warnings"]:
-        return 1
-    return 0
+    # Engine-internal counters (BDD node budget hits, SAT conflicts/
+    # decisions/restarts, induction cut points) of this invocation.
+    metrics = obs_metrics.snapshot("formal.")["counters"]
+    return _report_findings(args, reports, summary, metrics=metrics)
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -657,13 +622,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         from repro import experiments
 
         number = args.number
-        if number not in experiments.TABLE_BUILDERS:
-            return _usage_error(
-                "profile",
-                f"--number must be one of "
-                f"{sorted(experiments.TABLE_BUILDERS)} for the table "
-                f"workload, got {number}",
-            )
         length = args.length or (400 if args.fast else 0)
         params: dict = {"number": number, "length": length}
 
@@ -690,13 +648,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
         width = 8 if args.fast else args.width
         names = args.codecs or list(FORMAL_CODECS)
-        unknown = [n for n in names if n not in FORMAL_CODECS]
-        if unknown:
-            return _usage_error(
-                "profile",
-                f"no formal spec for codec(s): {', '.join(unknown)} "
-                f"(provable: {', '.join(FORMAL_CODECS)})",
-            )
         options = ProveOptions(width=width)
         params = {"width": width, "codecs": ",".join(names)}
 
@@ -740,26 +691,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from repro.obs import run_report
 
     # action is constrained to "report" by the parser; the positional
     # exists so future actions (e.g. "bench prune") slot in naturally.
-    repo_root = Path(__file__).resolve().parent.parent.parent
-    history = (
-        Path(args.history)
-        if args.history
-        else repo_root / "benchmarks" / "results" / "history.jsonl"
+    report = run_report(
+        Path(args.history), Path(args.budgets), against=args.against
     )
-    budgets = (
-        Path(args.budgets)
-        if args.budgets
-        else repo_root / "benchmarks" / "budgets.toml"
-    )
-    if not budgets.is_file():
-        return _usage_error("bench", f"no budgets file at {budgets}")
-    report = run_report(history, budgets, against=args.against)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
@@ -780,8 +719,34 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
+def _stream_flags(length: int, trace_file: bool = True) -> argparse.ArgumentParser:
+    """The stream flags of ``analyze``/``generate``/``faults``/``explore``.
+
+    One parent per command, so each keeps its own ``--length`` default:
+    argparse shares a parent's action objects among its children, and
+    ``set_defaults`` on one child would rewrite the default of all.
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    group = parent.add_argument_group("stream")
+    group.add_argument("--benchmark", choices=BENCHMARK_NAMES, default="gzip")
+    group.add_argument("--kind", choices=tuple(_TRACE_MAKERS), default="multiplexed")
+    group.add_argument(
+        "--length",
+        type=_length,
+        default=length,
+        help="stream length; 0 means the stream's default (default %(default)s)",
+    )
+    if trace_file:
+        group.add_argument(
+            "--trace-file",
+            type=_existing_file("trace"),
+            help="use a saved trace instead",
+        )
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro-bus",
         description=(
             "Low-power address bus encoding (DATE 1998 reproduction): "
@@ -815,7 +780,7 @@ def build_parser() -> argparse.ArgumentParser:
     exec_group = exec_parent.add_argument_group("execution")
     exec_group.add_argument(
         "--jobs",
-        type=int,
+        type=_positive,
         default=1,
         help="worker processes for cell execution (default 1: in-process)",
     )
@@ -845,13 +810,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     exec_group.add_argument(
         "--cache-max-bytes",
-        type=int,
+        type=_positive,
         default=None,
         metavar="N",
         help=(
             "LRU-evict cache entries past this total size "
             "(default: unbounded)"
         ),
+    )
+
+    # --json for the commands that print reports.
+    json_parent = argparse.ArgumentParser(add_help=False)
+    json_parent.add_argument(
+        "--json", action="store_true", help="machine-readable output"
+    )
+    # The flags _report_findings reads (lint, prove).
+    findings_parent = argparse.ArgumentParser(add_help=False, parents=[json_parent])
+    findings_parent.add_argument(
+        "--strict", action="store_true", help="warnings also fail (nonzero exit)"
+    )
+    findings_parent.add_argument(
+        "--verbose",
+        action="store_true",
+        help="also show clean targets and info-level findings",
     )
 
     def add_command(name: str, **kwargs: Any) -> argparse.ArgumentParser:
@@ -862,35 +843,51 @@ def build_parser() -> argparse.ArgumentParser:
         func=_cmd_list_codecs
     )
 
-    p_table = add_command("table", help="regenerate a paper table (1-9)")
-    p_table.add_argument("number", type=int)
-    p_table.add_argument("--length", type=int, default=0, help="stream length override")
-    p_table.add_argument("--width", type=int, default=32)
-    p_table.set_defaults(func=_cmd_table)
+    # The flags `table` and `tables` share; --width reaches Table 1 only.
+    table_parent = argparse.ArgumentParser(add_help=False)
+    table_parent.add_argument(
+        "--length", type=_length, default=0, help="stream length override"
+    )
+    table_parent.add_argument(
+        "--width",
+        type=_positive,
+        help="bus width of Table 1 (Tables 2-9: the paper's 32 bits)",
+    )
+
+    p_table = add_command(
+        "table",
+        help="regenerate a paper table (1-9)",
+        extra_parents=[table_parent],
+        description=(
+            "Regenerate one paper table: `tables N` at --jobs 1 with no "
+            "cache and no engine line on stderr."
+        ),
+    )
+    p_table.add_argument("numbers", type=_table_number, nargs=1, metavar="number")
+    # `tables`' default execution flags, minus the cache.
+    execution = {**vars(exec_parent.parse_args([])), "no_cache": True}
+    p_table.set_defaults(func=_cmd_tables, **execution)
 
     p_tables = add_command(
         "tables",
         help="regenerate paper tables through the batch engine",
-        extra_parents=[exec_parent],
+        extra_parents=[exec_parent, table_parent],
         description=(
             "Regenerate one or more paper tables via repro.engine: the "
             "(trace, codec, metric) cells fan out over a worker pool "
             "(--jobs) and memoize in a content-addressed cache (--cache), "
             "so a warm rerun performs zero encode work.  Output is "
-            "byte-identical to running `table N` for each number; engine "
-            "statistics go to stderr.  See docs/engine.md."
+            "byte-identical to running `table N` (which is `tables N` at "
+            "--jobs 1 with no cache) for each number; engine statistics "
+            "go to stderr.  See docs/engine.md."
         ),
     )
     p_tables.add_argument(
         "numbers",
-        type=int,
+        type=_table_number,
         nargs="*",
         help="paper tables to regenerate (default: 2-7)",
     )
-    p_tables.add_argument(
-        "--length", type=int, default=0, help="stream length override"
-    )
-    p_tables.add_argument("--width", type=int, default=32)
     p_tables.set_defaults(func=_cmd_tables)
 
     p_serve = add_command(
@@ -919,33 +916,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--max-pending",
-        type=int,
+        type=_positive,
         default=64,
         help="queue high-water mark before new jobs get 429 (default 64)",
     )
     p_serve.set_defaults(func=_cmd_serve)
 
-    p_analyze = add_command("analyze", help="compare codes on a stream")
-    p_analyze.add_argument("--benchmark", choices=BENCHMARK_NAMES, default="gzip")
-    p_analyze.add_argument(
-        "--kind",
-        choices=("instruction", "data", "multiplexed"),
-        default="multiplexed",
+    p_analyze = add_command(
+        "analyze",
+        help="compare codes on a stream",
+        extra_parents=[_stream_flags(length=0)],
     )
-    p_analyze.add_argument("--length", type=int, default=0)
-    p_analyze.add_argument("--trace-file", help="analyze a saved trace instead")
-    p_analyze.add_argument("--codecs", nargs="*", help="codec names to compare")
+    p_analyze.add_argument(
+        "--codecs", nargs="*", type=_codec_name, help="codec names to compare"
+    )
     p_analyze.set_defaults(func=_cmd_analyze)
 
-    p_generate = add_command("generate", help="write a synthetic trace")
-    p_generate.add_argument("output")
-    p_generate.add_argument("--benchmark", choices=BENCHMARK_NAMES, default="gzip")
-    p_generate.add_argument(
-        "--kind",
-        choices=("instruction", "data", "multiplexed"),
-        default="multiplexed",
+    p_generate = add_command(
+        "generate",
+        help="write a synthetic trace",
+        extra_parents=[_stream_flags(length=0, trace_file=False)],
     )
-    p_generate.add_argument("--length", type=int, default=0)
+    p_generate.add_argument("output")
     p_generate.set_defaults(func=_cmd_generate)
 
     p_kernel = add_command("kernel", help="run a CPU kernel")
@@ -959,7 +951,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_power = add_command("power", help="gate-level codec power")
     p_power.add_argument("--benchmark", choices=BENCHMARK_NAMES, default="gzip")
-    p_power.add_argument("--length", type=int, default=1000)
+    p_power.add_argument("--length", type=_length, default=1000)
     p_power.add_argument("--load-pf", type=float, default=0.4)
     p_power.add_argument(
         "--codecs",
@@ -970,41 +962,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_power.set_defaults(func=_cmd_power)
 
     p_timing = add_command("timing", help="codec circuit critical paths")
-    p_timing.add_argument("--width", type=int, default=32)
+    p_timing.add_argument("--width", type=_positive, default=32)
     p_timing.set_defaults(func=_cmd_timing)
 
-    p_faults = add_command("faults", help="fault-injection campaign")
-    p_faults.add_argument("--benchmark", choices=BENCHMARK_NAMES, default="gzip")
-    p_faults.add_argument(
-        "--kind",
-        choices=("instruction", "data", "multiplexed"),
-        default="multiplexed",
+    p_faults = add_command(
+        "faults",
+        help="fault-injection campaign",
+        extra_parents=[_stream_flags(length=800)],
     )
-    p_faults.add_argument("--length", type=int, default=800)
-    p_faults.add_argument("--trace-file", help="use a saved trace instead")
-    p_faults.add_argument("--injections", type=int, default=100)
+    p_faults.add_argument("--injections", type=_positive, default=100)
     p_faults.add_argument("--seed", type=int, default=0)
     p_faults.add_argument(
         "--codecs",
         nargs="*",
+        type=_codec_name,
         default=["binary", "bus-invert", "t0", "dualt0bi", "offset", "wze"],
     )
     p_faults.set_defaults(func=_cmd_faults)
 
-    p_explore = add_command("explore", help="design-space exploration")
-    p_explore.add_argument("--benchmark", choices=BENCHMARK_NAMES, default="gzip")
-    p_explore.add_argument(
-        "--kind",
-        choices=("instruction", "data", "multiplexed"),
-        default="multiplexed",
+    p_explore = add_command(
+        "explore",
+        help="design-space exploration",
+        extra_parents=[_stream_flags(length=600)],
     )
-    p_explore.add_argument("--length", type=int, default=600)
-    p_explore.add_argument("--trace-file", help="use a saved trace instead")
     p_explore.add_argument("--load-pf", type=float, default=50.0)
     p_explore.set_defaults(func=_cmd_explore)
 
     p_lint = add_command(
         "lint",
+        extra_parents=[findings_parent],
         help="static analysis: netlist lint, activity agreement, contracts",
         description=(
             "Run the three static passes of repro.analysis over the "
@@ -1020,43 +1006,30 @@ def build_parser() -> argparse.ArgumentParser:
         help="lint everything (the default; spelled out for scripts)",
     )
     p_lint.add_argument(
-        "--codecs", nargs="*", help="restrict to these codec names"
+        "--codecs", nargs="*", type=_codec_name, help="restrict to these codec names"
     )
     p_lint.add_argument(
-        "--width", type=int, default=32, help="netlist width (default 32)"
+        "--width", type=_positive, default=32, help="netlist width (default 32)"
     )
     p_lint.add_argument(
         "--contract-width",
-        type=int,
+        type=_positive,
         default=4,
         help="exhaustive state-exploration width (default 4)",
     )
     p_lint.add_argument(
         "--max-states",
-        type=int,
+        type=_positive,
         default=4096,
         help="joint-state cap for the contract exploration",
     )
     p_lint.add_argument(
         "--cycles",
-        type=int,
+        type=_positive,
         default=400,
         help="random cycles for the activity agreement check",
     )
     p_lint.add_argument("--seed", type=int, default=0)
-    p_lint.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
-    p_lint.add_argument(
-        "--strict",
-        action="store_true",
-        help="warnings also fail (nonzero exit)",
-    )
-    p_lint.add_argument(
-        "--verbose",
-        action="store_true",
-        help="show clean targets and info-level findings",
-    )
     p_lint.add_argument("--skip-netlint", action="store_true")
     p_lint.add_argument("--skip-activity", action="store_true")
     p_lint.add_argument("--skip-contracts", action="store_true")
@@ -1064,6 +1037,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = add_command(
         "check",
+        extra_parents=[json_parent],
         help="source-level static analysis: the SA rule catalog",
         description=(
             "Run the whole-project SA analyzer (repro.analysis.static) "
@@ -1103,9 +1077,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(justifications left as TODO)",
     )
     p_check.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
-    p_check.add_argument(
         "--strict",
         action="store_true",
         help="stale baseline entries and warnings also fail",
@@ -1119,6 +1090,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prove = add_command(
         "prove",
+        extra_parents=[findings_parent],
         help="formal verification: equivalence + k-induction proofs",
         description=(
             "Symbolically verify the gate-level codec circuits: prove "
@@ -1131,11 +1103,14 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_prove.add_argument(
-        "--codecs", nargs="*", help="restrict to these codec names"
+        "--codecs",
+        nargs="*",
+        type=_formal_codec,
+        help="restrict to these codec names",
     )
     p_prove.add_argument(
         "--width",
-        type=int,
+        type=_positive,
         default=32,
         help="bus width to prove at (default 32, the paper's)",
     )
@@ -1146,7 +1121,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_prove.add_argument(
         "--stride",
-        type=int,
+        type=_positive,
         default=4,
         help="word stride for the T0-family in-sequence increment",
     )
@@ -1173,30 +1148,18 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip co-simulating the specs against the behavioural models",
     )
-    p_prove.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
-    p_prove.add_argument(
-        "--strict",
-        action="store_true",
-        help="warnings also fail (nonzero exit)",
-    )
-    p_prove.add_argument(
-        "--verbose",
-        action="store_true",
-        help="show per-codec proof summaries (info-level findings)",
-    )
     p_prove.set_defaults(func=_cmd_prove)
 
     p_export = add_command("export", help="write all results as JSON")
     p_export.add_argument("output")
-    p_export.add_argument("--length", type=int, default=0)
+    p_export.add_argument("--length", type=_length, default=0)
     p_export.add_argument("--no-power", action="store_true")
     p_export.add_argument("--no-sweeps", action="store_true")
     p_export.set_defaults(func=_cmd_export)
 
     p_profile = add_command(
         "profile",
+        extra_parents=[json_parent],
         help="per-stage wall-time breakdown of a pipeline workload",
         description=(
             "Replay a workload under tracing and report where the time "
@@ -1213,11 +1176,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument(
         "--number",
         type=int,
+        choices=range(2, 8),  # experiments.TABLE_BUILDERS, not imported here
         default=4,
         help="paper table to profile (2-7, table workload only)",
     )
     p_profile.add_argument(
-        "--length", type=int, default=0, help="stream length override"
+        "--length", type=_length, default=0, help="stream length override"
     )
     p_profile.add_argument(
         "--benchmark",
@@ -1226,18 +1190,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="benchmark stream for the power workload",
     )
     p_profile.add_argument(
-        "--width", type=int, default=32, help="bus width for prove"
+        "--width", type=_positive, default=32, help="bus width for prove"
     )
     p_profile.add_argument(
-        "--codecs", nargs="*", help="restrict the prove workload to these"
+        "--codecs",
+        nargs="*",
+        type=_formal_codec,
+        help="restrict the prove workload to these",
     )
     p_profile.add_argument(
         "--fast",
         action="store_true",
         help="small workload (CI smoke: short streams, prove at width 8)",
-    )
-    p_profile.add_argument(
-        "--json", action="store_true", help="machine-readable output"
     )
     p_profile.add_argument(
         "--flame",
@@ -1256,6 +1220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = add_command(
         "bench",
+        extra_parents=[json_parent],
         help="benchmark history: compare runs against declarative budgets",
         description=(
             "Evaluate the latest benchmarks/results/history.jsonl records "
@@ -1276,18 +1241,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="baseline: a git sha prefix in the history, or another "
         "history file (default: the previous run of each benchmark)",
     )
+    benchmarks = Path(__file__).resolve().parent.parent.parent / "benchmarks"
     p_bench.add_argument(
         "--history",
         metavar="FILE",
+        default=str(benchmarks / "results" / "history.jsonl"),
         help="history file (default benchmarks/results/history.jsonl)",
     )
     p_bench.add_argument(
         "--budgets",
         metavar="FILE",
+        type=_existing_file("budgets"),
+        default=str(benchmarks / "budgets.toml"),
         help="budget file (default benchmarks/budgets.toml)",
-    )
-    p_bench.add_argument(
-        "--json", action="store_true", help="machine-readable output"
     )
     p_bench.add_argument(
         "--strict",
@@ -1317,18 +1283,13 @@ class _Tee(io.TextIOBase):
         return "".join(self._parts)
 
 
-def _run_observed(
-    args: argparse.Namespace,
-    raw_argv: Sequence[str],
-    trace_path: Optional[str],
-    stats: bool,
-    manifest_path: Optional[str],
-) -> int:
+def _run_observed(args: argparse.Namespace, raw_argv: Sequence[str]) -> int:
     """Run a subcommand with the requested observability plumbing."""
     from repro.obs import manifest as obs_manifest
     from repro.obs import metrics as obs_metrics
     from repro.obs import trace as obs_trace
 
+    trace_path, manifest_path = args.trace, args.manifest
     sinks: List[Any] = []
     if trace_path:
         sinks.append(obs_trace.JsonlSink(trace_path))
@@ -1369,34 +1330,26 @@ def _run_observed(
                     extra={"exit_status": status},
                 ),
             )
-        if stats:
+        if args.stats:
             deltas = obs_metrics.counter_deltas(before, obs_metrics.snapshot())
             for item in deltas:
-                labels = item.get("labels")
-                suffix = (
-                    "{"
-                    + ",".join(
-                        f"{k}={v}" for k, v in sorted(labels.items())
-                    )
-                    + "}"
-                    if labels
-                    else ""
-                )
+                labels = sorted((item.get("labels") or {}).items())
+                suffix = "{" + ",".join(f"{k}={v}" for k, v in labels) + "}"
                 print(
-                    f"{item['name']}{suffix} = {item['value']}",
+                    f"{item['name']}{suffix if labels else ''} = {item['value']}",
                     file=sys.stderr,
                 )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     raw_argv = list(argv) if argv is not None else sys.argv[1:]
-    args = build_parser().parse_args(raw_argv)
-    trace_path = getattr(args, "trace", None)
-    stats = bool(getattr(args, "stats", False))
-    manifest_path = getattr(args, "manifest", None)
-    if not (trace_path or stats or manifest_path):
+    try:
+        args = build_parser().parse_args(raw_argv)
+    except SystemExit as done:  # a usage error (exit 2) or --help (exit 0)
+        return int(done.code or 0)
+    if not (args.trace or args.stats or args.manifest):
         return args.func(args)
-    return _run_observed(args, raw_argv, trace_path, stats, manifest_path)
+    return _run_observed(args, raw_argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

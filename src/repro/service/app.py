@@ -141,16 +141,24 @@ class EvaluationService:
         return 202, response
 
     def _resolve_trace(self, request: EvalRequest) -> EvalRequest:
-        """Register inline traces; verify digest references exist."""
+        """Register inline traces; verify digest references exist and fit
+        the request's ``width`` (inline traces were checked at parsing)."""
         if request.addresses is not None:
             digest = self.corpus.add(request.addresses, request.sels)
             return replace(request, trace_digest=digest)
         assert request.trace_digest is not None
-        if request.trace_digest not in self.corpus:
+        stored = self.corpus.get(request.trace_digest)
+        if stored is None:
             raise ProtocolError(
                 f"unknown trace digest {request.trace_digest!r} "
                 "(upload it via POST /v1/traces first)",
                 http_status=404,
+            )
+        widest = max(stored[0], default=0)
+        if widest >> request.width:
+            raise ProtocolError(
+                f"trace {request.trace_digest!r} has address {widest:#x}, "
+                f"which does not fit a {request.width}-bit bus"
             )
         return request
 

@@ -109,11 +109,22 @@ def _record_generated(trace: AddressTrace, profile_name: str, kind: str) -> None
     ).inc(len(trace))
 
 
+def _stream_length(length: int, default: int) -> int:
+    """``length``, or the profile's ``default`` for 0; negative is an error."""
+    if length < 0:
+        raise ValueError(
+            f"stream length must be non-negative (0 means the profile's "
+            f"default), got {length}"
+        )
+    return length or default
+
+
 def instruction_trace(profile: BenchmarkProfile, length: int = 0) -> AddressTrace:
     """The benchmark's instruction-address stream (Table 2/5 input)."""
+    length = _stream_length(length, profile.instruction_length)
     with span("tracegen", benchmark=profile.name, kind="instruction"):
         trace = synthetic_instruction_stream(
-            length or profile.instruction_length,
+            length,
             profile=profile.instruction_profile(),
             seed=profile.seed,
             name=f"{profile.name}.instruction",
@@ -124,9 +135,10 @@ def instruction_trace(profile: BenchmarkProfile, length: int = 0) -> AddressTrac
 
 def data_trace(profile: BenchmarkProfile, length: int = 0) -> AddressTrace:
     """The benchmark's data-address stream (Table 3/6 input)."""
+    length = _stream_length(length, profile.data_length)
     with span("tracegen", benchmark=profile.name, kind="data"):
         trace = synthetic_data_stream(
-            length or profile.data_length,
+            length,
             profile=profile.data_profile(),
             seed=profile.seed,
             name=f"{profile.name}.data",
@@ -142,6 +154,7 @@ def multiplexed_trace(profile: BenchmarkProfile, length: int = 0) -> AddressTrac
     never runs dry (the splice rate consumes at most ~0.6 data addresses per
     instruction).
     """
+    length = _stream_length(length, profile.instruction_length)
     with span("tracegen", benchmark=profile.name, kind="multiplexed"):
         instruction = instruction_trace(profile, length)
         data_length = max(1000, int(0.7 * len(instruction)))

@@ -143,10 +143,12 @@ class AddressTrace:
             if len(parts) > 1:
                 has_sels = True
                 sels.append(int(parts[1]))
+        # A multiplexed trace carries a SEL stream even when it is empty.
+        carries_sels = has_sels or meta["kind"] == KIND_MULTIPLEXED
         return cls(
             name=meta["name"],
             addresses=tuple(addresses),
-            sels=tuple(sels) if has_sels else None,
+            sels=tuple(sels) if carries_sels else None,
             kind=meta["kind"],
             width=int(meta["width"]),
             stride=int(meta["stride"]),

@@ -3,6 +3,25 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs import metrics as obs_metrics
+
+#: Bad invocations and the flag (or value) each one's error must name.
+BAD_INVOCATIONS = [
+    (["table", "2", "--width", "16"], "--width"),
+    (["table", "8", "--width", "16"], "--width"),
+    (["tables", "8", "--width", "16"], "--width"),
+    (["tables", "1", "--width", "0"], "--width"),
+    (["analyze", "--length", "-5"], "--length"),
+    (["analyze", "--codecs", "nosuch"], "nosuch"),
+    (["analyze", "--trace-file", "no/such.trace"], "--trace-file"),
+    (["power", "--length", "-3"], "--length"),
+    (["explore", "--length", "-1"], "--length"),
+    (["faults", "--length", "-1"], "--length"),
+    (["faults", "--injections", "-1"], "--injections"),
+    (["export", "out.json", "--length", "-1"], "--length"),
+    (["timing", "--width", "0"], "--width"),
+    (["generate", "out.trace", "--length", "-1"], "--length"),
+]
 
 
 class TestParser:
@@ -12,7 +31,7 @@ class TestParser:
 
     def test_table_number_parsed(self):
         args = build_parser().parse_args(["table", "3", "--length", "100"])
-        assert args.number == 3
+        assert args.numbers == [3]
         assert args.length == 100
 
 
@@ -269,3 +288,25 @@ class TestNewCommands:
         )
         doc = json.loads(path.read_text())
         assert "2" in doc["tables"]
+
+
+class TestArgumentContract:
+    """Every bad value: exit 2, one stderr line naming it, no traceback,
+    and no trace generated first."""
+
+    @pytest.mark.parametrize(
+        "argv, named", BAD_INVOCATIONS, ids=[" ".join(a) for a, _ in BAD_INVOCATIONS]
+    )
+    def test_bad_invocation_is_one_line_exit_2(
+        self, argv, named, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)  # any output file lands here
+        before = obs_metrics.snapshot("tracegen.")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = err.strip().splitlines()
+        assert line.startswith(f"repro-bus {argv[0]}: error: ")
+        assert named in line
+        assert obs_metrics.snapshot("tracegen.") == before
+        assert list(tmp_path.iterdir()) == []

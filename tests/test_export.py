@@ -65,3 +65,10 @@ class TestExportAll:
         assert "8" not in doc["tables"]
         assert "stride" in doc["ablations"]
         assert len(doc["ablations"]["sequentiality"]) >= 3
+
+
+def test_negative_stream_length_is_an_error(tmp_path):
+    path = tmp_path / "results.json"
+    with pytest.raises(ValueError, match="non-negative"):
+        export_all(path, stream_length=-1, include_power=False, include_sweeps=False)
+    assert not path.exists()

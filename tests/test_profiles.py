@@ -43,6 +43,13 @@ class TestProfileTable:
 
 
 class TestGeneratedTraces:
+    @pytest.mark.parametrize(
+        "maker", [instruction_trace, data_trace, multiplexed_trace]
+    )
+    def test_negative_length_is_an_error(self, maker):
+        with pytest.raises(ValueError, match="non-negative"):
+            maker(get_profile("gzip"), -1)
+
     @pytest.mark.parametrize("name", ["gzip", "jedi"])
     def test_instruction_trace_near_target(self, name):
         profile = get_profile(name)

@@ -398,6 +398,26 @@ class TestEvaluationService:
 
         run_on_service(scenario)
 
+    def test_digest_reference_must_fit_its_width(self):
+        # Uploads are checked only against 64 bits; the width comes later.
+        async def scenario(service):
+            uploaded = service.add_trace(
+                {
+                    "schema_version": SCHEMA_VERSION,
+                    "trace": {"addresses": [4, 8, 1 << 40]},
+                }
+            )
+            payload = eval_payload(trace_digest=uploaded["trace_digest"], width=8)
+            del payload["trace"]
+            with pytest.raises(ProtocolError, match="0x10000000000") as excinfo:
+                service.submit(payload)
+            assert excinfo.value.http_status == 400
+            payload["width"] = 41
+            status, _ = service.submit(payload)
+            assert status == 202
+
+        run_on_service(scenario)
+
     def test_unknown_codec_and_uncircuited_power_are_422(self):
         async def scenario(service):
             with pytest.raises(ProtocolError) as excinfo:

@@ -1,6 +1,8 @@
 """Tests for traces, synthetic generators and the multiplexer."""
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.base import SEL_DATA, SEL_INSTRUCTION
 from repro.metrics import in_sequence_fraction
@@ -68,6 +70,34 @@ class TestAddressTrace:
         loaded = AddressTrace.load(path)
         assert loaded.sels is None
         assert loaded.addresses == (1, 2, 3)
+
+    @settings(
+        max_examples=50,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        kind=st.sampled_from(["instruction", "data", "multiplexed"]),
+        cycles=st.lists(
+            st.tuples(st.integers(0, (1 << 32) - 1), st.integers(0, 1)),
+            max_size=50,
+        ),
+    )
+    @example(kind="multiplexed", cycles=[])
+    def test_save_load_roundtrips_every_kind_and_length(
+        self, tmp_path, kind, cycles
+    ):
+        """Including 0 cycles: an empty multiplexed trace keeps its (empty)
+        SEL stream, which the file holds no row of."""
+        trace = AddressTrace(
+            "t",
+            tuple(address for address, _ in cycles),
+            sels=tuple(sel for _, sel in cycles) if kind == "multiplexed" else None,
+            kind=kind,
+        )
+        path = tmp_path / "t.trace"
+        trace.save(path)
+        assert AddressTrace.load(path) == trace
 
     def test_concatenate(self):
         a = AddressTrace("a", (1, 2))
