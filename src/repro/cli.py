@@ -54,7 +54,7 @@ import time
 from pathlib import Path
 from typing import Any, Callable, List, NoReturn, Optional, Sequence
 
-from repro.core import available_codecs, make_codec
+from repro.core import TRAINED_CODECS, available_codecs, make_codec
 from repro.metrics import compare_codecs, render_table
 from repro.tracegen import (
     AddressTrace,
@@ -123,11 +123,21 @@ _table_number = _checked(
     lambda v: 1 <= v <= 9,
     lambda v: f"no such table: {v} (paper tables are 1-9)",
 )
-_codec_name = _checked(
+
+
+def _unknown_codec(name: str) -> str:
+    return f"unknown codec {name!r} (registered: {', '.join(available_codecs())})"
+
+
+_codec_name = _checked(str, lambda name: name in available_codecs(), _unknown_codec)
+_untrained_codec = _checked(
     str,
-    lambda name: name in available_codecs(),
-    lambda name: f"unknown codec {name!r} "
-    f"(registered: {', '.join(available_codecs())})",
+    lambda name: name in available_codecs() and name not in TRAINED_CODECS,
+    lambda name: (
+        f"codec {name!r} is trained on stream data and cannot be built by name"
+        if name in TRAINED_CODECS
+        else _unknown_codec(name)
+    ),
 )
 _formal_codec = _checked(
     str,
@@ -144,9 +154,23 @@ def _existing_file(what: str) -> Callable[[str], str]:
     )
 
 
+def _trace_file(path: str) -> AddressTrace:
+    """An argparse ``type=`` loading a saved trace: a missing, unreadable
+    or empty file is a usage error, not a failure deep in the command."""
+    if not Path(path).is_file():
+        raise argparse.ArgumentTypeError(f"no trace file at {path}")
+    try:
+        trace = AddressTrace.load(path)
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot read trace file {path}: {exc}")
+    if not len(trace):
+        raise argparse.ArgumentTypeError(f"trace file {path} holds no cycles")
+    return trace
+
+
 def _load_trace(args: argparse.Namespace) -> AddressTrace:
-    if getattr(args, "trace_file", None):
-        return AddressTrace.load(args.trace_file)
+    if getattr(args, "trace_file", None) is not None:
+        return args.trace_file
     return _TRACE_MAKERS[args.kind](get_profile(args.benchmark), args.length)
 
 
@@ -739,7 +763,7 @@ def _stream_flags(length: int, trace_file: bool = True) -> argparse.ArgumentPars
     if trace_file:
         group.add_argument(
             "--trace-file",
-            type=_existing_file("trace"),
+            type=_trace_file,
             help="use a saved trace instead",
         )
     return parent
@@ -975,7 +999,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_faults.add_argument(
         "--codecs",
         nargs="*",
-        type=_codec_name,
+        type=_untrained_codec,
         default=["binary", "bus-invert", "t0", "dualt0bi", "offset", "wze"],
     )
     p_faults.set_defaults(func=_cmd_faults)

@@ -32,7 +32,12 @@ from repro.core.partitioned import (
     PartitionedBusInvertEncoder,
     partition_bounds,
 )
-from repro.core.registry import available_codecs, make_codec, register_codec
+from repro.core.registry import (
+    TRAINED_CODECS,
+    available_codecs,
+    make_codec,
+    register_codec,
+)
 from repro.core.t0 import T0Decoder, T0Encoder
 from repro.core.t0bi import T0BIDecoder, T0BIEncoder
 from repro.core.word import EncodedWord, hamming, mask, popcount
@@ -80,6 +85,7 @@ __all__ = [
     "T0Encoder",
     "WorkingZoneDecoder",
     "WorkingZoneEncoder",
+    "TRAINED_CODECS",
     "available_codecs",
     "binary_to_gray",
     "decode_stream",

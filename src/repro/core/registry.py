@@ -47,6 +47,10 @@ from repro.core.xor import (
 
 CodecBuilder = Callable[..., Codec]
 
+#: Codecs built from stream data (``training=``): their registry params
+#: alone do not determine them, so no command can build them by name only.
+TRAINED_CODECS = ("beach",)
+
 _REGISTRY: Dict[str, CodecBuilder] = {}
 
 

@@ -16,8 +16,10 @@ behaviour for a result cache.
 
 Entries are sharded two hex characters deep (``ab/abcdef….json``) and
 written atomically (temp file + ``os.replace``), so a cache directory can
-be shared between concurrent runs; a corrupt or truncated entry reads as
-a miss, never as an error.
+be shared between concurrent runs.  Each entry also stores a SHA-256 of
+its payload's canonical JSON, checked on every read: a corrupt, truncated
+or edited entry reads as a miss (counted as ``engine.cache_corrupt``),
+never as an error and never as a served result.
 
 Concurrency and eviction (the long-running-service hardening):
 
@@ -40,7 +42,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import sys
 import tempfile
 from contextlib import contextmanager
 from functools import lru_cache
@@ -56,6 +57,8 @@ import numpy as np
 
 from repro.core.base import Codec
 from repro.engine.cells import METRIC_CODEC, METRIC_POWER, Cell
+from repro.obs import metrics as obs_metrics
+from repro.obs.manifest import source_digest as _module_digest
 
 #: Source modules shared by every cell metric: the word/codec framework
 #: and the transition counters.
@@ -77,21 +80,6 @@ _POWER_MODULES = (
 #: result: such cells may be computed by either the columnar kernels or
 #: the reference ``encode_stream``, so a kernel edit must invalidate them.
 _CODEC_MODULES = ("repro.core.kernels",)
-
-
-@lru_cache(maxsize=None)
-def _file_digest(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-@lru_cache(maxsize=None)
-def _module_digest(module_name: str) -> str:
-    __import__(module_name)
-    module = sys.modules[module_name]
-    source = getattr(module, "__file__", None)
-    if not source:  # pragma: no cover - frozen/namespace modules
-        return f"no-source:{module_name}"
-    return _file_digest(source)
 
 
 @lru_cache(maxsize=None)
@@ -173,6 +161,13 @@ def cell_key(cell: Cell, version: str) -> str:
     return digest.hexdigest()
 
 
+def _payload_digest(payload: Dict[str, Any]) -> str:
+    """SHA-256 of a payload's canonical JSON: what a cache entry stores
+    and what :meth:`ResultCache.get` checks before serving it."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 #: ``put`` calls between automatic LRU sweeps (when ``max_bytes`` is set).
 _SWEEP_EVERY = 32
 
@@ -200,17 +195,28 @@ class ResultCache:
         return self.root / key[:2] / f"{key}.json"
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """The stored payload, or None on miss (corrupt entries miss too)."""
+        """The stored payload, or None on a miss.
+
+        An entry that exists but does not verify (unparseable, another
+        key's, or a payload whose digest does not match) misses too and
+        counts ``engine.cache_corrupt``.
+        """
         path = self._path(key)
         try:
             raw = path.read_text(encoding="utf-8")
+        except OSError:
+            return None
+        try:
             entry = json.loads(raw)
-        except (OSError, ValueError):
-            return None
-        if not isinstance(entry, dict) or entry.get("key") != key:
-            return None
-        payload = entry.get("payload")
-        if not isinstance(payload, dict):
+        except ValueError:
+            entry = None
+        payload = entry.get("payload") if isinstance(entry, dict) else None
+        if not (
+            isinstance(payload, dict)
+            and entry.get("key") == key
+            and entry.get("sha256") == _payload_digest(payload)
+        ):
+            obs_metrics.counter("engine.cache_corrupt").inc()
             return None
         if self.max_bytes is not None:
             try:
@@ -230,7 +236,10 @@ class ResultCache:
         """
         target = self._path(key)
         target.parent.mkdir(parents=True, exist_ok=True)
-        body = json.dumps({"key": key, "payload": payload}, sort_keys=True)
+        body = json.dumps(
+            {"key": key, "payload": payload, "sha256": _payload_digest(payload)},
+            sort_keys=True,
+        )
         handle, tmp_name = tempfile.mkstemp(
             dir=target.parent, suffix=".tmp"
         )

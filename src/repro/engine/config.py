@@ -5,9 +5,9 @@ cells; :class:`ExecutionConfig` is how a caller says how those cells run.
 It names the three execution decisions a caller can make (worker count,
 cache directory, kernel routing) plus the two cache policies
 (refresh, max-bytes eviction), validates them once, and builds the
-:class:`~repro.engine.runner.BatchEngine` they imply.  A caller that
-passes no config gets a plain ``ExecutionConfig()``: one in-process
-worker, no cache, no fork.  The engine is memoized per config object, so
+:class:`~repro.engine.runner.BatchEngine` and the trace store they
+imply.  A caller that passes no config gets a plain
+``ExecutionConfig()``: one in-process worker, no cache, no fork.  The engine is memoized per config object, so
 threading **one** config through a whole run — every table, every row —
 shares one engine, one cache handle and one cumulative
 :class:`~repro.engine.runner.EngineStats`, without exposing the engine
@@ -26,6 +26,7 @@ from typing import Any, Dict, Optional, Union
 
 from repro.engine.cache import ResultCache
 from repro.engine.runner import BatchEngine
+from repro.tracegen.corpus import TraceCorpus
 
 
 @dataclass
@@ -37,13 +38,15 @@ class ExecutionConfig:
     jobs:
         Worker process count; ``1`` computes in-process (no fork).
     cache_dir:
-        Result cache directory, or None to disable caching.
+        Result cache directory, or None to disable caching.  Generated
+        paper streams are kept under its ``traces/`` subdirectory.
     kernels:
         Route codec-transitions cells through the columnar numpy kernels
         where one exists; ``False`` forces the per-cycle reference path,
         ``encode_stream`` (output is bit-identical either way).
     refresh:
-        Recompute every cell and overwrite its cache entry.
+        Recompute every cell and regenerate every stored trace,
+        overwriting their cache entries.
     cache_max_bytes:
         Cache size budget; when set, :meth:`ResultCache.sweep` evicts
         least-recently-used entries past it.  None means unbounded.
@@ -55,6 +58,9 @@ class ExecutionConfig:
     refresh: bool = False
     cache_max_bytes: Optional[int] = None
     _engine: Optional[BatchEngine] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _traces: Optional[TraceCorpus] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -85,6 +91,14 @@ class ExecutionConfig:
                 use_kernels=self.kernels,
             )
         return self._engine
+
+    def traces(self) -> Optional[TraceCorpus]:
+        """The (memoized) trace store under ``<cache_dir>/traces``, where
+        the table builders keep generated paper streams; None without a
+        ``cache_dir``.  ``cache_max_bytes`` does not cover it."""
+        if self._traces is None and self.cache_dir is not None:
+            self._traces = TraceCorpus(Path(self.cache_dir) / "traces")
+        return self._traces
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready view (manifests, the service's ``/v1/healthz``)."""

@@ -123,15 +123,20 @@ def _stream_table(
 
     Every benchmark row's cells go to ``config``'s engine as **one**
     batch, so a worker pool spans the full grid rather than one row at a
-    time.  None means a plain ``ExecutionConfig()``: one in-process
-    worker, no cache.  The rendered table is identical under every config.
+    time.  The streams come from the config's trace store when it has a
+    cache directory.  None means a plain ``ExecutionConfig()``: one
+    in-process worker, no cache.  The rendered table is identical under
+    every config.
     """
     # Imported here: repro.engine.cells imports repro.metrics.
     from repro.engine import ExecutionConfig, comparison_cells, row_from_results
 
+    config = config or ExecutionConfig()
     codecs = _codecs(spec.codecs)
     table = PaperTable(title=spec.title, codec_names=list(spec.codecs))
-    streams = all_traces(spec.kind, length)
+    streams = all_traces(
+        spec.kind, length, store=config.traces(), refresh=config.refresh
+    )
     cells = []
     spans = []
     for trace in streams:
@@ -144,7 +149,7 @@ def _stream_table(
         )
         spans.append((len(cells), len(row_cells)))
         cells.extend(row_cells)
-    payloads = (config or ExecutionConfig()).engine().run(
+    payloads = config.engine().run(
         cells, codecs={codec.name: codec for codec in codecs}
     )
     for trace, (start, count) in zip(streams, spans):

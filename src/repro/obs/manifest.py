@@ -26,6 +26,7 @@ import platform
 import subprocess
 import sys
 from datetime import datetime, timezone
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Sequence, Tuple, Union
 
@@ -63,6 +64,17 @@ def git_sha() -> Optional[str]:
         except Exception:
             _git_sha_cache = None
     return _git_sha_cache
+
+
+@lru_cache(maxsize=None)
+def source_digest(module_name: str) -> str:
+    """SHA-256 of a module's source file: the code-version input of every
+    content-addressed store (the engine's result cache, the trace store)."""
+    __import__(module_name)
+    source = getattr(sys.modules[module_name], "__file__", None)
+    if not source:  # pragma: no cover - frozen/namespace modules
+        return f"no-source:{module_name}"
+    return hashlib.sha256(Path(source).read_bytes()).hexdigest()
 
 
 def digest_text(text: str) -> str:

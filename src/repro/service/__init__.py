@@ -14,7 +14,8 @@ byte-identical to the batch path's rows.
 Layers (stdlib only, no framework):
 
 * :mod:`repro.service.protocol` — the versioned request/response schema;
-* :mod:`repro.service.corpus`   — the content-addressed trace store;
+* :mod:`repro.tracegen.corpus`  — the content-addressed trace store
+  (re-exported as :mod:`repro.service.corpus`);
 * :mod:`repro.service.queue`    — bounded FIFO job queue with dedupe;
 * :mod:`repro.service.app`      — the asyncio service + HTTP routing;
 * :mod:`repro.service.http`     — a minimal HTTP/1.1 transport;
@@ -26,7 +27,6 @@ is the CLI entry point.
 
 from repro.service.app import EvaluationService, run_server
 from repro.service.client import ServiceClient, table_text_via_service
-from repro.service.corpus import TraceCorpus, trace_digest
 from repro.service.protocol import (
     SCHEMA_VERSION,
     CodecSpec,
@@ -38,6 +38,7 @@ from repro.service.protocol import (
     row_to_payload,
 )
 from repro.service.queue import Job, JobQueue, ServiceOverloaded
+from repro.tracegen.corpus import TraceCorpus, trace_digest
 
 __all__ = [
     "CodecSpec",

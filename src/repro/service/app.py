@@ -32,7 +32,6 @@ from repro.engine import ExecutionConfig, comparison_cells, make_cell, row_from_
 from repro.engine.cells import METRIC_CODEC, METRIC_POWER
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span as obs_span
-from repro.service.corpus import TraceCorpus
 from repro.service.http import Response, json_response, start_http_server
 from repro.service.protocol import (
     SCHEMA_VERSION,
@@ -44,6 +43,7 @@ from repro.service.protocol import (
     row_to_payload,
 )
 from repro.service.queue import Job, JobQueue, ServiceOverloaded
+from repro.tracegen.corpus import TraceCorpus
 
 
 def _stats_view(stats: Any) -> Dict[str, Any]:

@@ -1,138 +1,9 @@
-"""Content-addressed trace corpus: streams stored and served by digest.
+"""The service's trace corpus: :mod:`repro.tracegen.corpus`, re-exported.
 
-The corpus mirrors the engine cache's layout decisions: entries are
-sharded two hex characters deep (``ab/abcdef….json``) and written
-atomically (temp file + ``os.replace``), so one corpus directory can
-back several service processes.  The digest covers the stream *content*
-only — address array bytes plus sel array bytes — never the display
-name, width or stride; those are request parameters.  Two tenants
-uploading the same stream under different names therefore share one
-corpus entry, which is exactly what lets their jobs coalesce.
-
-A corpus constructed without a root directory is memory-backed: handy
-for tests and for ``repro-bus serve`` runs that only take inline traces.
+The store lives in ``repro.tracegen`` so the paper-table builders can
+keep generated streams in it without importing the service.
 """
 
-from __future__ import annotations
+from repro.tracegen.corpus import TraceCorpus, trace_digest
 
-import hashlib
-import json
-import os
-import tempfile
-from pathlib import Path
-from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
-
-import numpy as np
-
-
-def trace_digest(
-    addresses: Sequence[int], sels: Optional[Sequence[int]] = None
-) -> str:
-    """The sha256 content address of one stream.
-
-    Same byte discipline as the engine's :func:`~repro.engine.cell_key`:
-    little-endian uint64 address bytes, then the sel bytes or an
-    explicit ``none`` marker.  Display metadata is excluded by design.
-    """
-    digest = hashlib.sha256()
-    digest.update(b"addresses\0")
-    digest.update(np.asarray(addresses, dtype="<u8").tobytes())
-    digest.update(b"\0sels\0")
-    if sels is None:
-        digest.update(b"none")
-    else:
-        digest.update(np.asarray(sels, dtype="<u8").tobytes())
-    return digest.hexdigest()
-
-
-class TraceCorpus:
-    """Digest → stream store, directory-backed or in-memory.
-
-    Stored entries are JSON objects ``{"digest", "addresses", "sels"}``;
-    a corrupt or truncated entry reads as a miss, mirroring the result
-    cache's contract.
-    """
-
-    def __init__(self, root: Optional[Union[str, Path]] = None) -> None:
-        self.root = Path(root) if root is not None else None
-        if self.root is not None:
-            self.root.mkdir(parents=True, exist_ok=True)
-        self._memory: Dict[str, Tuple[Tuple[int, ...], Optional[Tuple[int, ...]]]] = {}
-
-    def _path(self, digest: str) -> Path:
-        assert self.root is not None
-        return self.root / digest[:2] / f"{digest}.json"
-
-    def add(
-        self,
-        addresses: Sequence[int],
-        sels: Optional[Sequence[int]] = None,
-    ) -> str:
-        """Store a stream, returning its digest (idempotent)."""
-        digest = trace_digest(addresses, sels)
-        entry = (
-            tuple(addresses),
-            tuple(sels) if sels is not None else None,
-        )
-        if self.root is None:
-            self._memory[digest] = entry
-            return digest
-        target = self._path(digest)
-        if target.is_file():
-            return digest
-        target.parent.mkdir(parents=True, exist_ok=True)
-        body = json.dumps(
-            {
-                "digest": digest,
-                "addresses": list(entry[0]),
-                "sels": list(entry[1]) if entry[1] is not None else None,
-            }
-        )
-        handle, tmp_name = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
-        try:
-            with os.fdopen(handle, "w", encoding="utf-8") as tmp:
-                tmp.write(body)
-            os.replace(tmp_name, target)
-        except OSError:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return digest
-
-    def get(
-        self, digest: str
-    ) -> Optional[Tuple[Tuple[int, ...], Optional[Tuple[int, ...]]]]:
-        """The stored ``(addresses, sels)``, or None on miss."""
-        if self.root is None:
-            return self._memory.get(digest)
-        try:
-            entry = json.loads(self._path(digest).read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-        if not isinstance(entry, dict) or entry.get("digest") != digest:
-            return None
-        addresses = entry.get("addresses")
-        if not isinstance(addresses, list) or not addresses:
-            return None
-        sels = entry.get("sels")
-        return (
-            tuple(addresses),
-            tuple(sels) if sels is not None else None,
-        )
-
-    def __contains__(self, digest: str) -> bool:
-        return self.get(digest) is not None
-
-    def __len__(self) -> int:
-        if self.root is None:
-            return len(self._memory)
-        return sum(1 for _ in self.root.glob("*/*.json"))
-
-    def digests(self) -> Iterator[str]:
-        if self.root is None:
-            yield from sorted(self._memory)
-            return
-        for path in sorted(self.root.glob("*/*.json")):
-            yield path.stem
+__all__ = ["TraceCorpus", "trace_digest"]

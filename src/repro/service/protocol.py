@@ -23,6 +23,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.core.registry import TRAINED_CODECS
 from repro.engine.cells import (
     METRIC_CODEC,
     METRIC_POWER,
@@ -40,9 +41,9 @@ SCHEMA_VERSION = 1
 REQUEST_METRICS = (METRIC_CODEC, METRIC_POWER)
 
 #: Codecs the service refuses: their constructor params do not determine
-#: their behaviour (the beach code is trained on stream data), so a
+#: their behaviour (they are trained on stream data), so a
 #: content-addressed job key cannot identify their results.
-UNSERVABLE_CODECS = ("beach",)
+UNSERVABLE_CODECS = TRAINED_CODECS
 
 
 class ProtocolError(ValueError):

@@ -12,6 +12,7 @@ from repro.tracegen.programs import (
     run_kernel,
     trace_kernel,
 )
+from repro.tracegen.corpus import TraceCorpus, trace_digest
 from repro.tracegen.profiles import (
     BENCHMARK_NAMES,
     BENCHMARKS,
@@ -21,6 +22,7 @@ from repro.tracegen.profiles import (
     get_profile,
     instruction_trace,
     multiplexed_trace,
+    trace_key,
 )
 from repro.tracegen.dinero import load_dinero, save_dinero
 from repro.tracegen.synthetic import (
@@ -85,4 +87,7 @@ __all__ = [
     "sequential_stream",
     "synthetic_data_stream",
     "synthetic_instruction_stream",
+    "TraceCorpus",
+    "trace_digest",
+    "trace_key",
 ]

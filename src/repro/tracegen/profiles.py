@@ -19,11 +19,15 @@ measured from the generated traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Tuple
+import hashlib
+import json
+from dataclasses import asdict, dataclass, replace
+from typing import Callable, List, Optional, Tuple
 
 from repro.obs import metrics as obs_metrics
+from repro.obs.manifest import source_digest
 from repro.obs.trace import span
+from repro.tracegen.corpus import TraceCorpus
 from repro.tracegen.synthetic import (
     DataProfile,
     InstructionProfile,
@@ -103,10 +107,31 @@ def get_profile(name: str) -> BenchmarkProfile:
     raise KeyError(f"unknown benchmark {name!r}; known: {BENCHMARK_NAMES}")
 
 
-def _record_generated(trace: AddressTrace, profile_name: str, kind: str) -> None:
-    obs_metrics.counter(
-        "tracegen.addresses", benchmark=profile_name, kind=kind
-    ).inc(len(trace))
+#: Modules whose source determines a generated trace; ``random`` is there
+#: because the golden tables rest on CPython's draw order.
+_TRACE_SOURCES = (
+    "random",
+    "repro.tracegen.layout",
+    "repro.tracegen.profiles",
+    "repro.tracegen.synthetic",
+)
+
+
+def trace_key(kind: str, profile: BenchmarkProfile, length: int) -> str:
+    """The trace store's key for one generated stream: a SHA-256 over the
+    kind, every profile parameter (seed included), the effective length
+    and the source digests of the modules in :data:`_TRACE_SOURCES`."""
+    header = json.dumps(
+        {
+            "kind": kind,
+            "profile": asdict(profile),
+            "length": length,
+            "sources": {name: source_digest(name) for name in _TRACE_SOURCES},
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(header.encode("utf-8")).hexdigest()
 
 
 def _stream_length(length: int, default: int) -> int:
@@ -119,44 +144,111 @@ def _stream_length(length: int, default: int) -> int:
     return length or default
 
 
-def instruction_trace(profile: BenchmarkProfile, length: int = 0) -> AddressTrace:
-    """The benchmark's instruction-address stream (Table 2/5 input)."""
+def _stored(
+    kind: str,
+    profile: BenchmarkProfile,
+    length: int,
+    store: Optional[TraceCorpus],
+    refresh: bool,
+    generate: Callable[[], AddressTrace],
+) -> AddressTrace:
+    """``generate()``'s trace, read from ``store`` when it holds it.
+
+    With a store, a miss (or ``refresh``) generates and saves the trace;
+    ``tracegen.addresses`` counts generated addresses only, and
+    ``tracegen.cache_hits`` counts traces read from the store.
+    """
+    with span("tracegen", benchmark=profile.name, kind=kind):
+        if store is None:
+            trace = generate()
+        else:
+            key = trace_key(kind, profile, length)
+            stored = None if refresh else store.load(key)
+            if stored is not None:
+                obs_metrics.counter(
+                    "tracegen.cache_hits", benchmark=profile.name, kind=kind
+                ).inc()
+                return stored
+            trace = generate()
+            store.save(key, trace)
+    obs_metrics.counter(
+        "tracegen.addresses", benchmark=profile.name, kind=kind
+    ).inc(len(trace))
+    return trace
+
+
+def instruction_trace(
+    profile: BenchmarkProfile,
+    length: int = 0,
+    *,
+    store: Optional[TraceCorpus] = None,
+    refresh: bool = False,
+) -> AddressTrace:
+    """The benchmark's instruction-address stream (Table 2/5 input).
+
+    ``store`` keeps generated streams (see :func:`trace_key`);
+    ``refresh`` regenerates and overwrites a stored one.
+    """
     length = _stream_length(length, profile.instruction_length)
-    with span("tracegen", benchmark=profile.name, kind="instruction"):
-        trace = synthetic_instruction_stream(
+    return _stored(
+        "instruction",
+        profile,
+        length,
+        store,
+        refresh,
+        lambda: synthetic_instruction_stream(
             length,
             profile=profile.instruction_profile(),
             seed=profile.seed,
             name=f"{profile.name}.instruction",
-        )
-    _record_generated(trace, profile.name, "instruction")
-    return trace
+        ),
+    )
 
 
-def data_trace(profile: BenchmarkProfile, length: int = 0) -> AddressTrace:
+def data_trace(
+    profile: BenchmarkProfile,
+    length: int = 0,
+    *,
+    store: Optional[TraceCorpus] = None,
+    refresh: bool = False,
+) -> AddressTrace:
     """The benchmark's data-address stream (Table 3/6 input)."""
     length = _stream_length(length, profile.data_length)
-    with span("tracegen", benchmark=profile.name, kind="data"):
-        trace = synthetic_data_stream(
+    return _stored(
+        "data",
+        profile,
+        length,
+        store,
+        refresh,
+        lambda: synthetic_data_stream(
             length,
             profile=profile.data_profile(),
             seed=profile.seed,
             name=f"{profile.name}.data",
-        )
-    _record_generated(trace, profile.name, "data")
-    return trace
+        ),
+    )
 
 
-def multiplexed_trace(profile: BenchmarkProfile, length: int = 0) -> AddressTrace:
+def multiplexed_trace(
+    profile: BenchmarkProfile,
+    length: int = 0,
+    *,
+    store: Optional[TraceCorpus] = None,
+    refresh: bool = False,
+) -> AddressTrace:
     """The benchmark's multiplexed instruction/data stream (Table 4/7 input).
 
-    The data-slot source stream is generated long enough that the weaver
-    never runs dry (the splice rate consumes at most ~0.6 data addresses per
-    instruction).
+    The instruction slots come from :func:`instruction_trace` (through
+    ``store`` when one is given).  The data-slot source stream is
+    generated long enough that the weaver never runs dry (the splice
+    rate consumes at most ~0.6 data addresses per instruction).
     """
     length = _stream_length(length, profile.instruction_length)
-    with span("tracegen", benchmark=profile.name, kind="multiplexed"):
-        instruction = instruction_trace(profile, length)
+
+    def generate() -> AddressTrace:
+        instruction = instruction_trace(
+            profile, length, store=store, refresh=refresh
+        )
         data_length = max(1000, int(0.7 * len(instruction)))
         data = synthetic_data_stream(
             data_length,
@@ -164,20 +256,27 @@ def multiplexed_trace(profile: BenchmarkProfile, length: int = 0) -> AddressTrac
             seed=profile.seed,
             name=f"{profile.name}.muxdata",
         )
-        trace = multiplex_streams(
+        return multiplex_streams(
             instruction.addresses,
             data.addresses,
             profile=profile.multiplex_profile(),
             seed=profile.seed,
             name=f"{profile.name}.multiplexed",
         )
-    _record_generated(trace, profile.name, "multiplexed")
-    return trace
+
+    return _stored("multiplexed", profile, length, store, refresh, generate)
 
 
-def all_traces(kind: str, length: int = 0) -> List[AddressTrace]:
+def all_traces(
+    kind: str,
+    length: int = 0,
+    *,
+    store: Optional[TraceCorpus] = None,
+    refresh: bool = False,
+) -> List[AddressTrace]:
     """All nine benchmark traces of one kind (``instruction``/``data``/
-    ``multiplexed``); ``length`` (if non-zero) overrides profile lengths."""
+    ``multiplexed``); ``length`` (if non-zero) overrides profile lengths.
+    ``store``/``refresh`` as for :func:`instruction_trace`."""
     makers = {
         "instruction": instruction_trace,
         "data": data_trace,
@@ -189,4 +288,7 @@ def all_traces(kind: str, length: int = 0) -> List[AddressTrace]:
         raise ValueError(
             f"unknown kind {kind!r}; expected one of {sorted(makers)}"
         ) from None
-    return [maker(profile, length) for profile in BENCHMARKS]
+    return [
+        maker(profile, length, store=store, refresh=refresh)
+        for profile in BENCHMARKS
+    ]

@@ -1,9 +1,14 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
 from repro.obs import metrics as obs_metrics
+
+#: A saved trace with a header and no cycles.
+EMPTY_TRACE = str(Path(__file__).parent / "fixtures" / "empty.trace")
 
 #: Bad invocations and the flag (or value) each one's error must name.
 BAD_INVOCATIONS = [
@@ -14,10 +19,12 @@ BAD_INVOCATIONS = [
     (["analyze", "--length", "-5"], "--length"),
     (["analyze", "--codecs", "nosuch"], "nosuch"),
     (["analyze", "--trace-file", "no/such.trace"], "--trace-file"),
+    (["analyze", "--trace-file", EMPTY_TRACE], "no cycles"),
     (["power", "--length", "-3"], "--length"),
     (["explore", "--length", "-1"], "--length"),
     (["faults", "--length", "-1"], "--length"),
     (["faults", "--injections", "-1"], "--injections"),
+    (["faults", "--codecs", "beach"], "beach"),
     (["export", "out.json", "--length", "-1"], "--length"),
     (["timing", "--width", "0"], "--width"),
     (["generate", "out.trace", "--length", "-1"], "--length"),
@@ -295,7 +302,9 @@ class TestArgumentContract:
     and no trace generated first."""
 
     @pytest.mark.parametrize(
-        "argv, named", BAD_INVOCATIONS, ids=[" ".join(a) for a, _ in BAD_INVOCATIONS]
+        "argv, named",
+        BAD_INVOCATIONS,
+        ids=[" ".join(a).replace(EMPTY_TRACE, "empty.trace") for a, _ in BAD_INVOCATIONS],
     )
     def test_bad_invocation_is_one_line_exit_2(
         self, argv, named, capsys, tmp_path, monkeypatch

@@ -128,6 +128,39 @@ class TestResultCache:
         )
         assert cache.get(key) is None
 
+    @staticmethod
+    def _corrupt_count():
+        return obs_metrics.counter("engine.cache_corrupt").value
+
+    def test_edited_payload_number_is_a_counted_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = "f" * 64
+        cache.put(key, {"transitions": 120, "cycles": 40})
+        path = cache._path(key)
+        entry = json.loads(path.read_text())
+        entry["payload"]["transitions"] = 121  # still well-formed JSON
+        path.write_text(json.dumps(entry))
+        before = self._corrupt_count()
+        assert cache.get(key) is None
+        assert self._corrupt_count() == before + 1
+        cache.put(key, {"transitions": 120, "cycles": 40})  # a put heals it
+        assert cache.get(key) == {"transitions": 120, "cycles": 40}
+
+    def test_truncated_entry_is_a_counted_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = "0" * 64
+        cache.put(key, {"transitions": 120, "cycles": 40})
+        path = cache._path(key)
+        path.write_bytes(path.read_bytes()[:-7])
+        before = self._corrupt_count()
+        assert cache.get(key) is None
+        assert self._corrupt_count() == before + 1
+
+    def test_absent_entry_is_not_counted_corrupt(self, tmp_path):
+        before = self._corrupt_count()
+        assert ResultCache(tmp_path).get("1" * 64) is None
+        assert self._corrupt_count() == before
+
 
 def _assert_matches_oracle_row(stream, codecs):
     addresses, sels = stream

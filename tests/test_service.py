@@ -237,7 +237,7 @@ class TestTraceCorpus:
     def test_corrupt_entry_is_miss(self, tmp_path):
         corpus = TraceCorpus(tmp_path)
         digest = corpus.add(ADDRESSES, SELS)
-        path = tmp_path / digest[:2] / f"{digest}.json"
+        path = tmp_path / digest[:2] / f"{digest}.trace"
         path.write_text("{ truncated", encoding="utf-8")
         assert corpus.get(digest) is None
         path.write_text(
