@@ -46,7 +46,7 @@ def default_config() -> ProjectConfig:
 
     Worker entries are the engine's fan-out surface (``_worker_init`` and
     ``_run_cell`` run inside forked workers; ``compute_cell`` is the work
-    itself and also runs inline).  Key entries are the four functions
+    itself).  Key entries are the four functions
     whose outputs must be process-independent: cache cell keys, cache
     code versions, and the manifest's deterministic view/digest.
     """
@@ -63,10 +63,6 @@ def default_config() -> ProjectConfig:
             "repro.obs.manifest.deterministic_view",
             "repro.obs.manifest.digest_text",
         ),
-        # No deprecated internal APIs at present (the roundtrip_stream →
-        # verify_roundtrip migration completed); SA011 stays available
-        # for the next rename.
-        deprecated_apis=(),
         registry_modules=("repro.core.registry",),
         specs_module="repro.analysis.formal.specs",
         contracts_module="repro.analysis.contracts",

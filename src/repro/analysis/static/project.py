@@ -108,8 +108,6 @@ class ProjectConfig:
         Qualified function names whose reachable code must be
         deterministic — cache-key, code-version and manifest-view
         constructors.
-    deprecated_apis:
-        Deprecated internal callable name -> replacement name (SA011).
     registry_modules:
         Dotted names of modules registering codecs via ``register_codec``.
     specs_module / specs_variable:
@@ -123,7 +121,6 @@ class ProjectConfig:
     worker_entries: Tuple[str, ...] = ()
     worker_allowlist: Tuple[str, ...] = ()
     key_entries: Tuple[str, ...] = ()
-    deprecated_apis: Tuple[Tuple[str, str], ...] = ()
     registry_modules: Tuple[str, ...] = ()
     specs_module: Optional[str] = None
     specs_variable: str = "SPEC_BUILDERS"

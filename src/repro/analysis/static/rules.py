@@ -23,17 +23,13 @@ SA009     error     iteration over a set feeding cache keys/manifests
                     without ``sorted()`` — order varies per process
 SA010     error     ``id()``/``hash()`` feeding cache keys/manifests —
                     values vary per process (PYTHONHASHSEED, allocator)
-SA011     error     use of a deprecated internal API (configured per
-                    project) — migrate to the replacement
 SA012     error     registered codec has no word-level formal spec
                     (``SPEC_BUILDERS``) — ``repro-bus prove`` cannot close
                     over it
 SA013     error     registered codec has no contract entry
                     (``CODEC_CONTRACTS``)
-SA015     error     registry builder metadata incomplete: ``Codec(...)``
-                    without ``encoder_cls`` (cache code-versioning cannot
-                    see the codec's source) or a name mismatching the
-                    registration
+SA015     error     registry builder constructs ``Codec(name=...)`` under
+                    a name other than its registration
 ========  ========  ======================================================
 
 Per-module rules run in a **single pass**: one recursive AST walk per file
@@ -791,57 +787,6 @@ class ProcessLocalIdentity(ProjectRule):
 
 
 # ---------------------------------------------------------------------------
-# API hygiene (SA011)
-# ---------------------------------------------------------------------------
-
-
-class DeprecatedInternalApi(LocalRule):
-    """Internal code must not use deprecated shims.
-
-    The shims exist so *external* users get a release of warning; internal
-    callers migrating late keep the deprecation cycle open forever.  The
-    public re-export sites carry explicit ``# repro: noqa SA011`` markers.
-    """
-
-    rule_id = "SA011"
-    family = "api-hygiene"
-    title = "use of a deprecated internal API"
-    node_types = (ast.Call, ast.ImportFrom)
-
-    def visit(
-        self, ctx: CheckContext, node: ast.AST, scope: Scope
-    ) -> Iterator[RawFinding]:
-        deprecated = dict(ctx.config.deprecated_apis)
-        if not deprecated:
-            return
-        if isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                if alias.name in deprecated:
-                    yield self.finding(
-                        ctx,
-                        scope.module,
-                        alias.lineno,
-                        f"import of deprecated {alias.name!r}; use "
-                        f"{deprecated[alias.name]!r}",
-                        subject=alias.name,
-                    )
-            return
-        assert isinstance(node, ast.Call)
-        name = dotted_name(node.func)
-        if name is None:
-            return
-        tail = name.split(".")[-1]
-        if tail in deprecated:
-            yield self.finding(
-                ctx,
-                scope.module,
-                node.lineno,
-                f"call to deprecated {tail!r}; use {deprecated[tail]!r}",
-                subject=tail,
-            )
-
-
-# ---------------------------------------------------------------------------
 # Registry completeness (SA012, SA013, SA015)
 # ---------------------------------------------------------------------------
 
@@ -904,19 +849,18 @@ class MissingContractEntry(ProjectRule):
                 )
 
 
-class IncompleteRegistryBuilder(LocalRule):
-    """Registry builders must declare complete, consistent metadata.
+class MismatchedRegistryName(LocalRule):
+    """A registry builder must build the codec it is registered as.
 
-    ``Codec(encoder_cls=...)`` is what the result cache's code-version
-    digest reads; a builder that omits it makes cache invalidation blind
-    to that codec's source edits — warm runs then serve stale results.  A
-    ``name=`` mismatching the registration corrupts cache keys and
-    reports the wrong codec everywhere downstream.
+    A ``name=`` mismatching the registration corrupts cache keys and
+    reports the wrong codec everywhere downstream.  (The encoder class
+    the cache's code-version digest reads is a required argument of
+    ``register_codec`` itself, so it cannot be left out.)
     """
 
     rule_id = "SA015"
     family = "registry"
-    title = "registry builder metadata incomplete or mismatched"
+    title = "registry builder name mismatches its registration"
     node_types = (ast.FunctionDef, ast.AsyncFunctionDef)
 
     def visit(
@@ -932,16 +876,6 @@ class IncompleteRegistryBuilder(LocalRule):
             if callee is None or callee.split(".")[-1] != "Codec":
                 continue
             keywords = {kw.arg: kw.value for kw in call.keywords if kw.arg}
-            if "encoder_cls" not in keywords:
-                yield self.finding(
-                    ctx,
-                    scope.module,
-                    call.lineno,
-                    f"builder for codec {registered!r} constructs Codec "
-                    "without encoder_cls= (cache code-versioning cannot "
-                    "track the codec's source)",
-                    subject=registered,
-                )
             name_value = keywords.get("name")
             if (
                 isinstance(name_value, ast.Constant)
@@ -1002,10 +936,9 @@ ALL_RULES: Tuple[Type[Rule], ...] = (
     NondeterministicKeySource,
     UnorderedSetIteration,
     ProcessLocalIdentity,
-    DeprecatedInternalApi,
     MissingFormalSpec,
     MissingContractEntry,
-    IncompleteRegistryBuilder,
+    MismatchedRegistryName,
 )
 
 

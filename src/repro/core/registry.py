@@ -21,7 +21,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.core.base import Codec
 from repro.core.beach import BeachDecoder, BeachEncoder, train_beach_code
@@ -47,20 +47,26 @@ from repro.core.xor import (
 
 CodecBuilder = Callable[..., Codec]
 
-#: Codecs built from stream data (``training=``): their registry params
-#: alone do not determine them, so no command can build them by name only.
+#: Codecs built from stream data (``training=``): no command can build
+#: them from a name and command-line flags alone.
 TRAINED_CODECS = ("beach",)
 
-_REGISTRY: Dict[str, CodecBuilder] = {}
+#: Name -> (builder, encoder class).  The encoder class is recorded at
+#: registration so a name resolves to its defining module without
+#: building (for a trained code, training) anything.
+_REGISTRY: Dict[str, Tuple[CodecBuilder, type]] = {}
 
 
-def register_codec(name: str) -> Callable[[CodecBuilder], CodecBuilder]:
-    """Decorator adding a codec builder to the registry."""
+def register_codec(
+    name: str, encoder_cls: type
+) -> Callable[[CodecBuilder], CodecBuilder]:
+    """Decorator adding a codec builder, and its encoder class, to the
+    registry."""
 
     def decorator(builder: CodecBuilder) -> CodecBuilder:
         if name in _REGISTRY:
             raise ValueError(f"codec {name!r} registered twice")
-        _REGISTRY[name] = builder
+        _REGISTRY[name] = (builder, encoder_cls)
         return builder
 
     return decorator
@@ -71,6 +77,20 @@ def available_codecs() -> List[str]:
     return sorted(_REGISTRY)
 
 
+def _entry(name: str) -> Tuple[CodecBuilder, type]:
+    try:
+        return _REGISTRY[name]
+    except KeyError:
+        known = ", ".join(available_codecs())
+        raise KeyError(f"unknown codec {name!r}; available: {known}") from None
+
+
+def encoder_class(name: str) -> type:
+    """The encoder class registered under ``name`` (``KeyError`` for a
+    name the registry does not know)."""
+    return _entry(name)[1]
+
+
 def make_codec(name: str, width: int = 32, **params: object) -> Codec:
     """Build a fresh :class:`~repro.core.base.Codec` by registry name.
 
@@ -79,159 +99,144 @@ def make_codec(name: str, width: int = 32, **params: object) -> Codec:
     with more partitions than lines) raises ``ValueError`` here rather
     than at the first encode.
     """
-    try:
-        builder = _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(available_codecs())
-        raise KeyError(f"unknown codec {name!r}; available: {known}") from None
+    builder, encoder_cls = _entry(name)
     codec = builder(width=width, **params)
+    codec.encoder_cls = encoder_cls
     codec.make_encoder()
     codec.make_decoder()
     return codec
 
 
-@register_codec("binary")
+@register_codec("binary", BinaryEncoder)
 def _binary(width: int) -> Codec:
     return Codec(
         name="binary",
         width=width,
         encoder_factory=lambda: BinaryEncoder(width),
         decoder_factory=lambda: BinaryDecoder(width),
-        encoder_cls=BinaryEncoder,
     )
 
 
-@register_codec("gray")
+@register_codec("gray", GrayEncoder)
 def _gray(width: int, stride: int = 1) -> Codec:
     return Codec(
         name="gray",
         width=width,
         encoder_factory=lambda: GrayEncoder(width, stride),
         decoder_factory=lambda: GrayDecoder(width, stride),
-        encoder_cls=GrayEncoder,
         params={"stride": stride},
     )
 
 
-@register_codec("bus-invert")
+@register_codec("bus-invert", BusInvertEncoder)
 def _bus_invert(width: int) -> Codec:
     return Codec(
         name="bus-invert",
         width=width,
         encoder_factory=lambda: BusInvertEncoder(width),
         decoder_factory=lambda: BusInvertDecoder(width),
-        encoder_cls=BusInvertEncoder,
     )
 
 
-@register_codec("t0")
+@register_codec("t0", T0Encoder)
 def _t0(width: int, stride: int = 4) -> Codec:
     return Codec(
         name="t0",
         width=width,
         encoder_factory=lambda: T0Encoder(width, stride),
         decoder_factory=lambda: T0Decoder(width, stride),
-        encoder_cls=T0Encoder,
         params={"stride": stride},
     )
 
 
-@register_codec("t0bi")
+@register_codec("t0bi", T0BIEncoder)
 def _t0bi(width: int, stride: int = 4) -> Codec:
     return Codec(
         name="t0bi",
         width=width,
         encoder_factory=lambda: T0BIEncoder(width, stride),
         decoder_factory=lambda: T0BIDecoder(width, stride),
-        encoder_cls=T0BIEncoder,
         params={"stride": stride},
     )
 
 
-@register_codec("dualt0")
+@register_codec("dualt0", DualT0Encoder)
 def _dualt0(width: int, stride: int = 4) -> Codec:
     return Codec(
         name="dualt0",
         width=width,
         encoder_factory=lambda: DualT0Encoder(width, stride),
         decoder_factory=lambda: DualT0Decoder(width, stride),
-        encoder_cls=DualT0Encoder,
         params={"stride": stride},
     )
 
 
-@register_codec("dualt0bi")
+@register_codec("dualt0bi", DualT0BIEncoder)
 def _dualt0bi(width: int, stride: int = 4) -> Codec:
     return Codec(
         name="dualt0bi",
         width=width,
         encoder_factory=lambda: DualT0BIEncoder(width, stride),
         decoder_factory=lambda: DualT0BIDecoder(width, stride),
-        encoder_cls=DualT0BIEncoder,
         params={"stride": stride},
     )
 
 
-@register_codec("mtf")
+@register_codec("mtf", MtfEncoder)
 def _mtf(width: int, offset_bits: int = 12, sectors: int = 8) -> Codec:
     return Codec(
         name="mtf",
         width=width,
         encoder_factory=lambda: MtfEncoder(width, offset_bits, sectors),
         decoder_factory=lambda: MtfDecoder(width, offset_bits, sectors),
-        encoder_cls=MtfEncoder,
         params={"offset_bits": offset_bits, "sectors": sectors},
     )
 
 
-@register_codec("pbi")
+@register_codec("pbi", PartitionedBusInvertEncoder)
 def _partitioned_bus_invert(width: int, partitions: int = 4) -> Codec:
     return Codec(
         name="pbi",
         width=width,
         encoder_factory=lambda: PartitionedBusInvertEncoder(width, partitions),
         decoder_factory=lambda: PartitionedBusInvertDecoder(width, partitions),
-        encoder_cls=PartitionedBusInvertEncoder,
         params={"partitions": partitions},
     )
 
 
-@register_codec("offset")
+@register_codec("offset", OffsetEncoder)
 def _offset(width: int) -> Codec:
     return Codec(
         name="offset",
         width=width,
         encoder_factory=lambda: OffsetEncoder(width),
         decoder_factory=lambda: OffsetDecoder(width),
-        encoder_cls=OffsetEncoder,
     )
 
 
-@register_codec("inc-xor")
+@register_codec("inc-xor", IncXorEncoder)
 def _inc_xor(width: int, stride: int = 4) -> Codec:
     return Codec(
         name="inc-xor",
         width=width,
         encoder_factory=lambda: IncXorEncoder(width, stride),
         decoder_factory=lambda: IncXorDecoder(width, stride),
-        encoder_cls=IncXorEncoder,
         params={"stride": stride},
     )
 
 
-@register_codec("wze")
+@register_codec("wze", WorkingZoneEncoder)
 def _wze(width: int, zones: int = 4, stride: int = 4) -> Codec:
     return Codec(
         name="wze",
         width=width,
         encoder_factory=lambda: WorkingZoneEncoder(width, zones, stride),
         decoder_factory=lambda: WorkingZoneDecoder(width, zones, stride),
-        encoder_cls=WorkingZoneEncoder,
         params={"zones": zones, "stride": stride},
     )
 
 
-@register_codec("beach")
+@register_codec("beach", BeachEncoder)
 def _beach(
     width: int,
     training: Sequence[int] = (),
@@ -242,6 +247,9 @@ def _beach(
         raise ValueError(
             "the beach codec is stream-adaptive: pass training=<address list>"
         )
+    # The training stream is a param like any other: it keys the code's
+    # cache entries and lets a worker retrain the same code by name.
+    training = tuple(int(address) for address in training)
     code = train_beach_code(
         training, width=width, cluster_size=cluster_size, seed=seed
     )
@@ -250,6 +258,9 @@ def _beach(
         width=width,
         encoder_factory=lambda: BeachEncoder(width, code),
         decoder_factory=lambda: BeachDecoder(width, code),
-        encoder_cls=BeachEncoder,
-        params={"cluster_size": cluster_size, "seed": seed},
+        params={
+            "training": training,
+            "cluster_size": cluster_size,
+            "seed": seed,
+        },
     )

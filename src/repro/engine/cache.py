@@ -3,7 +3,8 @@
 The cache key of a cell is a SHA-256 over
 
 * a canonical JSON header: metric, codec name, bus width, codec
-  parameters, in-sequence stride and the **code-version tag**;
+  parameters (a trained code's include its training stream), in-sequence
+  stride and the **code-version tag**;
 * the raw address array bytes (little-endian uint64);
 * the raw sel array bytes (or an explicit ``none`` marker).
 
@@ -44,7 +45,6 @@ import json
 import os
 import tempfile
 from contextlib import contextmanager
-from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -55,7 +55,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 import numpy as np
 
-from repro.core.base import Codec
+from repro.core.registry import encoder_class
 from repro.engine.cells import METRIC_CODEC, METRIC_POWER, Cell
 from repro.obs import metrics as obs_metrics
 from repro.obs.manifest import source_digest as _module_digest
@@ -82,51 +82,21 @@ _POWER_MODULES = (
 _CODEC_MODULES = ("repro.core.kernels",)
 
 
-@lru_cache(maxsize=None)
-def _codec_module(codec_name: str) -> Optional[str]:
-    """The defining module of a registry codec, resolved by name alone.
-
-    Power cells carry no live :class:`Codec` (their circuits are rebuilt
-    by registry name inside the worker), so the codec's source module is
-    looked up through the codec registry instead.  Names the registry
-    cannot build without extra arguments (the trained beach code) resolve
-    to ``None`` and contribute no module — those cells are never cached.
-    """
-    from repro.core.registry import make_codec
-
-    try:
-        built = make_codec(codec_name, 32)
-    except Exception:
-        return None
-    if built.encoder_cls is None:
-        return None
-    return built.encoder_cls.__module__
-
-
-def code_version(
-    metric: str,
-    codec: Optional[Codec] = None,
-    codec_name: Optional[str] = None,
-) -> str:
+def code_version(metric: str, codec_name: str) -> str:
     """The code-version tag for one cell's metric/codec combination.
 
-    The codec's defining module is included for **every** metric — a
-    power cell's result depends on the codec's semantics just as much as
-    a transition cell's, so editing e.g. ``core/t0.py`` must invalidate
-    both.  ``codec_name`` resolves the module through the registry when
-    no live codec is at hand (power cells identify circuits by name).
+    The codec's defining module, resolved through the registry by name,
+    is included for **every** metric — a power cell's result depends on
+    the codec's semantics just as much as a transition cell's, so editing
+    e.g. ``core/t0.py`` must invalidate both.  A name the registry does
+    not know raises ``KeyError``.
     """
     modules = list(_COMMON_MODULES)
     if metric == METRIC_POWER:
         modules.extend(_POWER_MODULES)
     if metric == METRIC_CODEC:
         modules.extend(_CODEC_MODULES)
-    if codec is not None and codec.encoder_cls is not None:
-        modules.append(codec.encoder_cls.__module__)
-    elif codec_name is not None:
-        resolved = _codec_module(codec_name)
-        if resolved is not None:
-            modules.append(resolved)
+    modules.append(encoder_class(codec_name).__module__)
     digest = hashlib.sha256()
     for name in sorted(set(modules)):
         digest.update(name.encode("utf-8"))

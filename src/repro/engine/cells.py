@@ -32,6 +32,7 @@ if TYPE_CHECKING:
 
 from repro.core import kernels
 from repro.core.base import Codec
+from repro.core.registry import make_codec
 from repro.metrics.fast import (
     _as_u64,
     _scalar_oracle,
@@ -54,7 +55,9 @@ class Cell:
     ``trace_name`` is display metadata only — it is deliberately *not*
     part of the cache key, so two benchmarks that happen to share a
     stream share cache entries.  ``params`` is the codec's constructor
-    parameters as a sorted item tuple (hashable, picklable).
+    parameters as a sorted item tuple (hashable, picklable): with the
+    name and width they rebuild the codec in any process, and a trained
+    code's include its training stream.
     """
 
     metric: str
@@ -131,37 +134,6 @@ def report_from_payload(payload: Dict[str, Any]) -> TransitionReport:
 # ---------------------------------------------------------------------------
 
 
-def compute_cell(
-    cell: Cell,
-    codec: Optional[Codec] = None,
-    use_kernels: bool = True,
-) -> Dict[str, Any]:
-    """Run one cell to completion, returning its JSON-ready payload.
-
-    ``codec`` overrides the registry rebuild — the parent process passes
-    the live codec for codes that cannot be rebuilt from
-    ``(name, width, params)`` alone (the trained beach code).
-    ``use_kernels`` routes codec-transitions cells through the columnar
-    kernels (:mod:`repro.core.kernels`) when the codec has one; the
-    payload is identical either way.
-    """
-    if cell.metric == METRIC_BINARY:
-        return _compute_binary_reference(cell)
-    if cell.metric == METRIC_CODEC:
-        return _compute_codec_transitions(cell, codec, use_kernels)
-    if cell.metric == METRIC_POWER:
-        return _compute_power_sim(cell)
-    raise ValueError(f"unknown cell metric {cell.metric!r}")
-
-
-def _cell_codec(cell: Cell, codec: Optional[Codec]) -> Codec:
-    if codec is not None:
-        return codec
-    from repro.core.registry import make_codec
-
-    return make_codec(cell.codec_name, cell.width, **dict(cell.params))
-
-
 #: Execution paths a cell can take, as reported in engine telemetry.
 PATH_COLUMNAR = "columnar"
 PATH_GATE_SIM = "gate-sim"
@@ -171,30 +143,26 @@ PATH_KERNEL = "kernel"
 PATH_STEPPABLE = "steppable"
 
 
-def cell_path(
-    cell: Cell, use_kernels: bool = True, codec: Optional[Codec] = None
-) -> str:
-    """Which execution path :func:`compute_cell` will take for ``cell``.
+def compute_cell(
+    cell: Cell, use_kernels: bool = True
+) -> Tuple[Dict[str, Any], str]:
+    """Run one cell to completion: its JSON-ready payload and the
+    execution path (one of the ``PATH_*`` labels) that computed it.
 
-    Telemetry metadata only — it never enters the cell payload (payloads
-    must stay byte-identical between the kernel and ``encode_stream``
-    paths so cache entries are path-agnostic).
+    A codec cell rebuilds its codec once, from ``(name, width, params)``
+    — a trained code retrains from the training stream in its params.
+    ``use_kernels`` routes it through the codec's columnar kernel
+    (:mod:`repro.core.kernels`) when it has one.  The path is telemetry
+    only: the payload is identical on every path, so cache entries are
+    path-agnostic.
     """
     if cell.metric == METRIC_BINARY:
-        return PATH_COLUMNAR
+        return _compute_binary_reference(cell), PATH_COLUMNAR
+    if cell.metric == METRIC_CODEC:
+        return _compute_codec_transitions(cell, use_kernels)
     if cell.metric == METRIC_POWER:
-        return PATH_GATE_SIM
-    if not use_kernels:
-        return PATH_STEPPABLE
-    try:
-        resolved = _cell_codec(cell, codec)
-    except Exception:
-        return PATH_STEPPABLE
-    return (
-        PATH_KERNEL
-        if kernels.has_encode_kernel(resolved)
-        else PATH_STEPPABLE
-    )
+        return _compute_power_sim(cell), PATH_GATE_SIM
+    raise ValueError(f"unknown cell metric {cell.metric!r}")
 
 
 def _compute_binary_reference(cell: Cell) -> Dict[str, Any]:
@@ -214,9 +182,9 @@ def _compute_binary_reference(cell: Cell) -> Dict[str, Any]:
 
 
 def _compute_codec_transitions(
-    cell: Cell, codec: Optional[Codec], use_kernels: bool = True
-) -> Dict[str, Any]:
-    codec = _cell_codec(cell, codec)
+    cell: Cell, use_kernels: bool
+) -> Tuple[Dict[str, Any], str]:
+    codec = make_codec(cell.codec_name, cell.width, **dict(cell.params))
     if use_kernels and kernels.has_encode_kernel(codec):
         with obs_span("encode", codec=codec.name, cycles=len(cell.addresses)):
             result = kernels.encode_stream_kernel(
@@ -227,12 +195,15 @@ def _compute_codec_transitions(
         return {
             "report": report_to_payload(report),
             "encoded_words": result.cycles,
-        }
+        }, PATH_KERNEL
     with obs_span("encode", codec=codec.name, cycles=len(cell.addresses)):
         words = codec.make_encoder().encode_stream(cell.addresses, cell.sels)
     with obs_span("count", codec=codec.name, cycles=len(words)):
         report = count_transitions_fast(words, width=cell.width)
-    return {"report": report_to_payload(report), "encoded_words": len(words)}
+    return {
+        "report": report_to_payload(report),
+        "encoded_words": len(words),
+    }, PATH_STEPPABLE
 
 
 def comparison_cells(

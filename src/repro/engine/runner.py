@@ -8,9 +8,8 @@ under any worker scheduling.  Per cell the engine:
 1. probes the result cache (parent-side; hits never reach a worker);
 2. fans the misses out over a ``multiprocessing`` pool (``jobs > 1``) or
    computes them in-process (``jobs == 1``), rebuilding each codec inside
-   the worker from ``(name, width, params)`` — codecs that cannot be
-   rebuilt that way (the trained beach code) run in the parent and are
-   not cached, since their params do not determine their behaviour;
+   the worker from ``(name, width, params)`` — a trained code's params
+   carry its training stream, so every cell takes this one path;
 3. replays each pool worker's captured trace spans into the parent's
    sinks (with fresh ids — see :func:`repro.obs.trace.replay_events`;
    in-process cells emit their spans live), writes the new payloads back
@@ -31,15 +30,8 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.base import Codec
 from repro.engine.cache import ResultCache, cell_key, code_version
-from repro.engine.cells import (
-    METRIC_BINARY,
-    METRIC_POWER,
-    Cell,
-    cell_path,
-    compute_cell,
-)
+from repro.engine.cells import Cell, compute_cell
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import (
     capture as obs_capture,
@@ -58,15 +50,13 @@ class EngineStats:
     cells: int = 0
     hits: int = 0
     misses: int = 0
-    uncacheable: int = 0
     worker_wall_s: float = 0.0
     queue_wall_s: float = 0.0
 
     def summary(self) -> str:
         return (
             f"{self.cells} cells: {self.hits} cached, "
-            f"{self.misses} computed, {self.uncacheable} uncacheable "
-            f"({self.worker_wall_s:.2f}s worker wall, "
+            f"{self.misses} computed ({self.worker_wall_s:.2f}s worker wall, "
             f"{self.queue_wall_s:.2f}s queued, jobs={self.jobs})"
         )
 
@@ -98,15 +88,15 @@ def _run_cell(task: _CellTask) -> _CellOutcome:
     events: List[Dict[str, Any]]
     if traced:
         with obs_capture() as sink:
-            payload = compute_cell(cell, use_kernels=use_kernels)
+            payload, path = compute_cell(cell, use_kernels=use_kernels)
         events = sink.events
     else:
-        payload = compute_cell(cell, use_kernels=use_kernels)
+        payload, path = compute_cell(cell, use_kernels=use_kernels)
         events = []
     meta = {
         "wall_s": time.perf_counter() - started,
         "queue_s": max(0.0, started - submitted_at),
-        "path": cell_path(cell, use_kernels),
+        "path": path,
     }
     return index, payload, meta, events
 
@@ -148,50 +138,11 @@ class BatchEngine:
         self.refresh = refresh
         self.use_kernels = use_kernels
         self.stats = EngineStats(jobs=self.jobs)
-        self._rebuild_probe: Dict[Tuple[Any, ...], bool] = {}
 
-    # -- codec rebuildability ------------------------------------------
-
-    def _rebuildable(self, cell: Cell) -> bool:
-        """Can a worker reconstruct this cell's codec from its fields?"""
-        if cell.metric == METRIC_BINARY:
-            return True
-        spec = (cell.metric, cell.codec_name, cell.width, cell.params)
-        cached = self._rebuild_probe.get(spec)
-        if cached is None:
-            try:
-                if cell.metric == METRIC_POWER:
-                    from repro.rtl.codecs import ENCODER_BUILDERS
-
-                    cached = cell.codec_name in ENCODER_BUILDERS
-                else:
-                    from repro.core.registry import make_codec
-
-                    make_codec(
-                        cell.codec_name, cell.width, **dict(cell.params)
-                    )
-                    cached = True
-            except Exception:
-                cached = False
-            self._rebuild_probe[spec] = cached
-        return cached
-
-    # -- execution ------------------------------------------------------
-
-    def run(
-        self,
-        cells: Sequence[Cell],
-        codecs: Optional[Dict[str, Codec]] = None,
-    ) -> List[Dict[str, Any]]:
-        """Execute a batch; returns payloads in submission order.
-
-        ``codecs`` maps codec name → live :class:`Codec` and is required
-        only for codecs a worker cannot rebuild by name (trained codes).
-        """
-        codecs = codecs or {}
+    def run(self, cells: Sequence[Cell]) -> List[Dict[str, Any]]:
+        """Execute a batch; returns payloads in submission order."""
         results: List[Optional[Dict[str, Any]]] = [None] * len(cells)
-        pool_tasks: List[_CellTask] = []
-        inline: List[Tuple[int, Cell, bool]] = []  # (index, cell, cacheable)
+        tasks: List[_CellTask] = []
         keys: Dict[int, str] = {}
         # Pool workers capture their spans for replay here; in-process
         # cells emit theirs live (capturing those too would count each
@@ -204,14 +155,8 @@ class BatchEngine:
             for index, cell in enumerate(cells):
                 self.stats.cells += 1
                 obs_metrics.counter("engine.cells", metric=cell.metric).inc()
-                rebuildable = self._rebuildable(cell)
-                cacheable = self.cache is not None and rebuildable
-                if cacheable:
-                    version = code_version(
-                        cell.metric,
-                        codecs.get(cell.codec_name),
-                        codec_name=cell.codec_name,
-                    )
+                if self.cache is not None:
+                    version = code_version(cell.metric, cell.codec_name)
                     keys[index] = cell_key(cell, version)
                     if not self.refresh:
                         hit = self.cache.get(keys[index])
@@ -226,55 +171,21 @@ class BatchEngine:
                     obs_metrics.counter(
                         "engine.cache.misses", metric=cell.metric
                     ).inc()
-                elif self.cache is not None:
-                    self.stats.uncacheable += 1
-                    obs_metrics.counter(
-                        "engine.cache.uncacheable", metric=cell.metric
-                    ).inc()
                 self.stats.misses += 1
-                if rebuildable:
-                    pool_tasks.append(
-                        (
-                            index,
-                            cell,
-                            traced,
-                            self.use_kernels,
-                            time.perf_counter(),
-                        )
-                    )
-                else:
-                    inline.append((index, cell, False))
+                tasks.append(
+                    (index, cell, traced, self.use_kernels, time.perf_counter())
+                )
 
             outcomes: List[_CellOutcome] = []
-            if pool_tasks and self.jobs > 1:
+            if tasks and self.jobs > 1:
                 context = multiprocessing.get_context()
                 with context.Pool(
-                    processes=min(self.jobs, len(pool_tasks)),
+                    processes=min(self.jobs, len(tasks)),
                     initializer=_worker_init,
                 ) as pool:
-                    outcomes.extend(
-                        pool.imap_unordered(_run_cell, pool_tasks)
-                    )
+                    outcomes.extend(pool.imap_unordered(_run_cell, tasks))
             else:
-                outcomes.extend(_run_cell(task) for task in pool_tasks)
-
-            for index, cell, _ in inline:
-                codec = codecs.get(cell.codec_name)
-                if codec is None:
-                    raise KeyError(
-                        f"cell {cell.label()} needs a live codec "
-                        f"{cell.codec_name!r} (not rebuildable by name)"
-                    )
-                started = time.perf_counter()
-                payload = compute_cell(
-                    cell, codec=codec, use_kernels=self.use_kernels
-                )
-                meta = {
-                    "wall_s": time.perf_counter() - started,
-                    "queue_s": 0.0,
-                    "path": cell_path(cell, self.use_kernels, codec=codec),
-                }
-                outcomes.append((index, payload, meta, []))
+                outcomes.extend(_run_cell(task) for task in tasks)
 
             for index, payload, meta, events in outcomes:
                 cell = cells[index]

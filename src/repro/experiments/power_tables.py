@@ -63,9 +63,19 @@ def simulate_codecs(
 
     The per-codec gate-level simulations run as ``power-sim`` cells on
     ``config``'s engine (an :class:`repro.engine.ExecutionConfig`; None
-    means a plain ``ExecutionConfig()``: one in-process worker, no cache).
+    means a plain ``ExecutionConfig()``: one in-process worker, no cache),
+    and the stream comes from ``config``'s trace store when it has one.
     """
-    trace = multiplexed_trace(get_profile(benchmark), length)
+    # Imported here: repro.engine.cells imports repro.metrics.
+    from repro.engine import ExecutionConfig
+
+    config = config or ExecutionConfig()
+    trace = multiplexed_trace(
+        get_profile(benchmark),
+        length,
+        store=config.traces(),
+        refresh=config.refresh,
+    )
     return _power_runs(trace, codes, width, config)
 
 

@@ -149,9 +149,7 @@ def _stream_table(
         )
         spans.append((len(cells), len(row_cells)))
         cells.extend(row_cells)
-    payloads = config.engine().run(
-        cells, codecs={codec.name: codec for codec in codecs}
-    )
+    payloads = config.engine().run(cells)
     for trace, (start, count) in zip(streams, spans):
         table.add(
             row_from_results(

@@ -61,7 +61,10 @@ def compare_codecs(
     ``codecs``), so callers may pass only the candidate codes.
 
     The row is computed as engine cells (see
-    :func:`repro.engine.comparison_cells`) on ``config``'s engine.
+    :func:`repro.engine.comparison_cells`) on ``config``'s engine, which
+    rebuilds each codec by registry name from its ``width`` and
+    ``params`` — so every codec must come from
+    :func:`repro.core.make_codec`.
     ``config`` (an :class:`repro.engine.ExecutionConfig`) decides worker
     count, caching and kernel routing; None means a plain
     ``ExecutionConfig()``: one in-process worker, no cache.  The row is
@@ -80,9 +83,7 @@ def compare_codecs(
     cells = comparison_cells(
         codecs, addresses, sels, stride=stride, benchmark=benchmark
     )
-    payloads = (config or ExecutionConfig()).engine().run(
-        cells, codecs={codec.name: codec for codec in codecs}
-    )
+    payloads = (config or ExecutionConfig()).engine().run(cells)
     return row_from_results(codecs, payloads, len(addresses), benchmark=benchmark)
 
 

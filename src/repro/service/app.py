@@ -51,7 +51,6 @@ def _stats_view(stats: Any) -> Dict[str, Any]:
         "cells": stats.cells,
         "hits": stats.hits,
         "misses": stats.misses,
-        "uncacheable": stats.uncacheable,
     }
 
 
@@ -257,9 +256,7 @@ class EvaluationService:
                     stride=request.stride,
                     benchmark=request.benchmark,
                 )
-                payloads = engine.run(
-                    cells, codecs={codec.name: codec for codec in codecs}
-                )
+                payloads = engine.run(cells)
                 row = row_from_results(
                     codecs,
                     payloads,

@@ -40,9 +40,8 @@ SCHEMA_VERSION = 1
 #: gate-level encoder/decoder circuits per codec.
 REQUEST_METRICS = (METRIC_CODEC, METRIC_POWER)
 
-#: Codecs the service refuses: their constructor params do not determine
-#: their behaviour (they are trained on stream data), so a
-#: content-addressed job key cannot identify their results.
+#: Codecs the service refuses: they are trained on stream data, and the
+#: service takes no training stream.
 UNSERVABLE_CODECS = TRAINED_CODECS
 
 
@@ -213,7 +212,7 @@ def parse_request(payload: Any) -> EvalRequest:
         if spec.name in UNSERVABLE_CODECS:
             raise ProtocolError(
                 f"codec {spec.name!r} is trained on stream data and cannot "
-                "be served (its params do not determine its behaviour)",
+                "be served (the service takes no training stream)",
                 http_status=422,
             )
 

@@ -1,7 +1,7 @@
 """Registry wiring: one violation each for SA012, SA013 and SA015.
 
 Four codecs are registered.  ``goodcodec`` is fully wired (spec entries,
-contract entry, complete ``Codec(...)`` metadata) and must stay quiet.
+contract entry, a ``Codec(...)`` named as registered) and must stay quiet.
 The other three each miss exactly one thing.
 """
 
@@ -9,29 +9,23 @@ from sa_project.base import Codec, register_codec
 from sa_project.codecs import GoodDecoder, GoodEncoder
 
 
-@register_codec("goodcodec")
+@register_codec("goodcodec", GoodEncoder)
 def build_goodcodec(width):
-    return Codec(
-        name="goodcodec", encoder_cls=GoodEncoder, decoder_cls=GoodDecoder
-    )
+    return Codec(name="goodcodec", decoder_cls=GoodDecoder)
 
 
-@register_codec("badcodec")
+@register_codec("badcodec", GoodEncoder)
 def build_badcodec(width):
-    # The one SA015 violation: no encoder_cls=, so cache code-versioning
-    # cannot see this codec's source.
-    return Codec(name="badcodec")
+    # The one SA015 violation: the codec is built under another name, so
+    # its cache keys and reports would name the wrong codec.
+    return Codec(name="goodcodec", decoder_cls=GoodDecoder)
 
 
-@register_codec("nospec")
+@register_codec("nospec", GoodEncoder)
 def build_nospec(width):
-    return Codec(
-        name="nospec", encoder_cls=GoodEncoder, decoder_cls=GoodDecoder
-    )
+    return Codec(name="nospec", decoder_cls=GoodDecoder)
 
 
-@register_codec("nocontract")
+@register_codec("nocontract", GoodEncoder)
 def build_nocontract(width):
-    return Codec(
-        name="nocontract", encoder_cls=GoodEncoder, decoder_cls=GoodDecoder
-    )
+    return Codec(name="nocontract", decoder_cls=GoodDecoder)

@@ -249,7 +249,7 @@ class TestNewCommands:
             def decode(self, word, sel=SEL_INSTRUCTION):
                 return 0 if word.bus == 1 else word.bus
 
-        @registry.register_codec("cli-broken")
+        @registry.register_codec("cli-broken", _Enc)
         def _broken(width):
             return Codec(
                 name="cli-broken",

@@ -185,7 +185,7 @@ class TestSeededContractViolations:
     def broken_registry_entry(self):
         from repro.core import registry
 
-        @registry.register_codec("broken-lossy")
+        @registry.register_codec("broken-lossy", _IdentityEncoder)
         def _broken(width):
             from repro.core.base import Codec
 
@@ -225,7 +225,7 @@ class TestSeededContractViolations:
                 self.phase = (self.phase + 1) % 3
                 return EncodedWord(bus=value & self._mask)
 
-        @registry.register_codec("broken-reset")
+        @registry.register_codec("broken-reset", _PhaseEncoder)
         def _broken(width):
             return Codec(
                 name="broken-reset",
@@ -250,7 +250,7 @@ class TestSeededContractViolations:
         class _LyingEncoder(_IdentityEncoder):
             extra_lines = ("INV",)  # declared but never produced
 
-        @registry.register_codec("broken-extras")
+        @registry.register_codec("broken-extras", _LyingEncoder)
         def _broken(width):
             return Codec(
                 name="broken-extras",
@@ -319,7 +319,7 @@ class TestFormalCounterexampleReplay:
         from repro.core import registry
         from repro.core.base import Codec
 
-        @registry.register_codec("lossy-for-replay")
+        @registry.register_codec("lossy-for-replay", _IdentityEncoder)
         def _lossy(width):
             return Codec(
                 name="lossy-for-replay",

@@ -43,16 +43,12 @@ def codecs():
     return [make_codec(name, 32) for name in ("t0", "bus-invert", "dualt0bi")]
 
 
-def _codec_map(codecs):
-    return {codec.name: codec for codec in codecs}
-
-
 class TestCellKeys:
     def test_key_is_deterministic(self, stream):
         addresses, sels = stream
         codec = make_codec("t0", 32)
         cell = make_cell(METRIC_CODEC, "b", addresses, sels, codec=codec)
-        version = code_version(METRIC_CODEC, codec)
+        version = code_version(METRIC_CODEC, codec.name)
         assert cell_key(cell, version) == cell_key(cell, version)
 
     def test_key_changes_with_params(self, stream):
@@ -67,7 +63,7 @@ class TestCellKeys:
             )
             for stride in (4, 8)
         ]
-        version = code_version(METRIC_CODEC, make_codec("t0", 32))
+        version = code_version(METRIC_CODEC, "t0")
         assert cell_key(cells[0], version) != cell_key(cells[1], version)
 
     def test_key_changes_with_code_version(self, stream):
@@ -83,7 +79,7 @@ class TestCellKeys:
         b = make_cell(
             METRIC_CODEC, "b", [x ^ 4 for x in addresses], sels, codec=codec
         )
-        version = code_version(METRIC_CODEC, codec)
+        version = code_version(METRIC_CODEC, codec.name)
         assert cell_key(a, version) != cell_key(b, version)
 
     def test_key_ignores_trace_name(self, stream):
@@ -92,14 +88,12 @@ class TestCellKeys:
         codec = make_codec("t0", 32)
         a = make_cell(METRIC_CODEC, "gzip", addresses, sels, codec=codec)
         b = make_cell(METRIC_CODEC, "gcc", addresses, sels, codec=codec)
-        version = code_version(METRIC_CODEC, codec)
+        version = code_version(METRIC_CODEC, codec.name)
         assert cell_key(a, version) == cell_key(b, version)
 
     def test_code_version_distinguishes_codecs(self):
         # t0 and gray live in different modules, so their tags differ.
-        assert code_version(METRIC_CODEC, make_codec("t0", 32)) != code_version(
-            METRIC_CODEC, make_codec("gray", 32)
-        )
+        assert code_version(METRIC_CODEC, "t0") != code_version(METRIC_CODEC, "gray")
 
 
 class TestResultCache:
@@ -253,11 +247,9 @@ class TestEngineRuns:
         """Merged output is index-ordered, not completion-ordered."""
         addresses, sels = stream
         cells = comparison_cells(codecs, addresses, sels, benchmark="b")
-        reference = BatchEngine(jobs=1).run(cells, codecs=_codec_map(codecs))
+        reference = BatchEngine(jobs=1).run(cells)
         for _ in range(3):
-            parallel = BatchEngine(jobs=4).run(
-                cells, codecs=_codec_map(codecs)
-            )
+            parallel = BatchEngine(jobs=4).run(cells)
             assert parallel == reference
         row = row_from_results(codecs, reference, len(addresses), benchmark="b")
         assert row == oracle_row(codecs, addresses, sels, benchmark="b")
@@ -268,13 +260,13 @@ class TestEngineRuns:
         addresses, sels = stream
         cells = comparison_cells(codecs, addresses, sels, benchmark="b")
         cold = BatchEngine(jobs=1, cache_dir=tmp_path)
-        cold_payloads = cold.run(cells, codecs=_codec_map(codecs))
+        cold_payloads = cold.run(cells)
         assert cold.stats.misses == len(cells)
 
         before = obs_metrics.snapshot()
         warm = BatchEngine(jobs=1, cache_dir=tmp_path)
         with obs_trace.capture() as sink:
-            warm_payloads = warm.run(cells, codecs=_codec_map(codecs))
+            warm_payloads = warm.run(cells)
         assert warm_payloads == cold_payloads
         assert warm.stats.hits == len(cells)
         assert warm.stats.misses == 0
@@ -292,11 +284,9 @@ class TestEngineRuns:
     def test_refresh_recomputes(self, tmp_path, stream, codecs):
         addresses, sels = stream
         cells = comparison_cells(codecs, addresses, sels, benchmark="b")
-        BatchEngine(jobs=1, cache_dir=tmp_path).run(
-            cells, codecs=_codec_map(codecs)
-        )
+        BatchEngine(jobs=1, cache_dir=tmp_path).run(cells)
         refreshed = BatchEngine(jobs=1, cache_dir=tmp_path, refresh=True)
-        refreshed.run(cells, codecs=_codec_map(codecs))
+        refreshed.run(cells)
         assert refreshed.stats.hits == 0
         assert refreshed.stats.misses == len(cells)
 
@@ -307,34 +297,51 @@ class TestEngineRuns:
         addresses, sels = stream
         cells = comparison_cells(codecs, addresses, sels, benchmark="b")
         cold = BatchEngine(jobs=1, cache_dir=tmp_path)
-        payloads = cold.run(cells, codecs=_codec_map(codecs))
+        payloads = cold.run(cells)
         # Rewrite the t0 cells' entries under a bumped version tag, as if
         # t0.py had changed; leave every other codec's entries alone.
         cache = ResultCache(tmp_path)
         for cell, payload in zip(cells, payloads):
             if cell.codec_name == "t0":
-                old = cell_key(
-                    cell, code_version(cell.metric, _codec_map(codecs)["t0"])
-                )
+                old = cell_key(cell, code_version(cell.metric, "t0"))
                 assert cache.get(old) is not None
                 assert cache.get(cell_key(cell, "edited-t0")) is None
 
-    def test_trained_codec_runs_inline_uncached(self, tmp_path, stream):
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_trained_codec_is_cached_like_any_other(
+        self, tmp_path, stream, jobs
+    ):
+        """A beach code's params carry its training stream, so its cells
+        go to the workers and the cache like every other codec's."""
         addresses, sels = stream
         beach = make_codec("beach", 32, training=addresses[:100])
-        cells = comparison_cells([beach], addresses, sels, benchmark="b")
-        engine = BatchEngine(jobs=2, cache_dir=tmp_path)
-        payloads = engine.run(cells, codecs={"beach": beach})
-        assert engine.stats.uncacheable == 1  # the beach cell
-        row = row_from_results([beach], payloads, len(addresses), benchmark="b")
-        assert row == oracle_row([beach], addresses, sels, benchmark="b")
+        codecs = [beach, make_codec("t0", 32)]
 
-    def test_trained_codec_without_live_codec_raises(self, stream):
+        def run():
+            config = ExecutionConfig(jobs=jobs, cache_dir=tmp_path)
+            row = compare_codecs(codecs, addresses, sels, config=config)
+            stats = config.engine().stats
+            return row, (stats.hits, stats.misses)
+
+        cold, cold_counts = run()
+        warm, warm_counts = run()
+        assert cold_counts == (0, 3)
+        assert warm_counts == (3, 0)
+        assert warm == cold == oracle_row(codecs, addresses, sels)
+
+    def test_trained_codec_key_covers_its_training(self, stream):
+        """Equal cluster_size/seed, different training: different keys —
+        the cache can never serve one trained code's result for another."""
         addresses, sels = stream
-        beach = make_codec("beach", 32, training=addresses[:100])
-        cells = comparison_cells([beach], addresses, sels, benchmark="b")
-        with pytest.raises(KeyError, match="beach"):
-            BatchEngine(jobs=1).run(cells)
+        version = code_version(METRIC_CODEC, "beach")
+
+        def key(training):
+            beach = make_codec("beach", 32, training=training, seed=0)
+            cell = make_cell(METRIC_CODEC, "b", addresses, sels, codec=beach)
+            return cell_key(cell, version)
+
+        assert key(addresses[:100]) == key(list(addresses[:100]))
+        assert key(addresses[:100]) != key(addresses[100:200])
 
     def test_binary_reference_cell(self, stream):
         from repro.engine import report_from_payload
@@ -343,7 +350,8 @@ class TestEngineRuns:
 
         addresses, _ = stream
         cell = make_cell(METRIC_BINARY, "b", addresses, width=32)
-        payload = compute_cell(cell)
+        payload, path = compute_cell(cell)
+        assert path == "columnar"
         expected = count_transitions(
             [EncodedWord(a) for a in addresses], width=32
         )
@@ -368,25 +376,28 @@ class TestEngineTelemetry:
         return out
 
     def test_cell_path_per_metric(self, stream, codecs):
-        from repro.engine.cells import METRIC_POWER, cell_path
+        from repro.engine.cells import METRIC_POWER
+
+        def path(cell, use_kernels=True):
+            return compute_cell(cell, use_kernels=use_kernels)[1]
 
         addresses, sels = stream
         binary = make_cell(METRIC_BINARY, "b", addresses, width=32)
-        assert cell_path(binary) == "columnar"
+        assert path(binary) == "columnar"
         codec = codecs[0]  # t0 has a columnar encode kernel
         coded = make_cell(METRIC_CODEC, "b", addresses, sels, codec=codec)
-        assert cell_path(coded, use_kernels=True) == "kernel"
-        assert cell_path(coded, use_kernels=False) == "steppable"
+        assert path(coded, use_kernels=True) == "kernel"
+        assert path(coded, use_kernels=False) == "steppable"
         power = make_cell(
             METRIC_POWER, "b", addresses[:50], codec_name="t0"
         )
-        assert cell_path(power) == "gate-sim"
+        assert path(power) == "gate-sim"
 
     def test_run_populates_path_split_and_gauges(self, stream, codecs):
         addresses, sels = stream
         cells = comparison_cells(codecs, addresses, sels, benchmark="b")
         engine = BatchEngine(jobs=1)
-        engine.run(cells, codecs=_codec_map(codecs))
+        engine.run(cells)
 
         gauges = self._snapshot_by_name("gauges")
         assert ("engine.worker_utilization", ()) in gauges
@@ -417,9 +428,7 @@ class TestEngineTelemetry:
         cells = comparison_cells(
             codecs, addresses[:120], sels[:120], benchmark="b"
         )
-        BatchEngine(jobs=1, use_kernels=False).run(
-            cells, codecs=_codec_map(codecs)
-        )
+        BatchEngine(jobs=1, use_kernels=False).run(cells)
         histograms = self._snapshot_by_name("histograms")
         steppable = histograms[
             ("engine.cell_compute_us", (("path", "steppable"),))
@@ -429,12 +438,8 @@ class TestEngineTelemetry:
     def test_warm_run_reports_full_hit_rate(self, tmp_path, stream, codecs):
         addresses, sels = stream
         cells = comparison_cells(codecs, addresses, sels, benchmark="b")
-        BatchEngine(jobs=1, cache_dir=tmp_path).run(
-            cells, codecs=_codec_map(codecs)
-        )
-        BatchEngine(jobs=1, cache_dir=tmp_path).run(
-            cells, codecs=_codec_map(codecs)
-        )
+        BatchEngine(jobs=1, cache_dir=tmp_path).run(cells)
+        BatchEngine(jobs=1, cache_dir=tmp_path).run(cells)
         gauges = self._snapshot_by_name("gauges")
         assert gauges[("engine.cache.hit_rate", ())]["value"] == 1.0
 
@@ -443,7 +448,7 @@ class TestEngineTelemetry:
 
         addresses, sels = stream
         cells = comparison_cells(codecs, addresses, sels, benchmark="b")
-        BatchEngine(jobs=1).run(cells, codecs=_codec_map(codecs))
+        BatchEngine(jobs=1).run(cells)
         manifest = collect_manifest(command="pytest-engine-telemetry")
         gauge_names = {item["name"] for item in manifest["gauges"]}
         assert "engine.worker_utilization" in gauge_names
@@ -456,8 +461,8 @@ class TestEngineTelemetry:
         addresses, sels = stream
         cells = comparison_cells(codecs, addresses, sels, benchmark="b")
         engine = BatchEngine(jobs=2)
-        reference = BatchEngine(jobs=1).run(cells, codecs=_codec_map(codecs))
-        payloads = engine.run(cells, codecs=_codec_map(codecs))
+        reference = BatchEngine(jobs=1).run(cells)
+        payloads = engine.run(cells)
         # Telemetry must never leak into payloads (cache bit-identity).
         assert payloads == reference
         assert engine.stats.queue_wall_s >= 0.0

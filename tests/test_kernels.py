@@ -386,25 +386,25 @@ class TestEngineRouting:
         addresses, sels = _stream("mixed")
         codec = _kernel_codec(name)
         cell = make_cell(METRIC_CODEC, "b", addresses, sels, codec=codec)
-        assert compute_cell(cell, use_kernels=True) == compute_cell(
+        assert compute_cell(cell, use_kernels=True)[0] == compute_cell(
             cell, use_kernels=False
-        )
+        )[0]
 
     @pytest.mark.parametrize("name", ("mtf", "wze"))
     def test_fallback_cells_are_unaffected_by_the_flag(self, name):
         addresses, sels = _stream("mixed")
         codec = make_codec(name, 32)
         cell = make_cell(METRIC_CODEC, "b", addresses, sels, codec=codec)
-        assert compute_cell(cell, use_kernels=True) == compute_cell(
+        assert compute_cell(cell, use_kernels=True)[0] == compute_cell(
             cell, use_kernels=False
-        )
+        )[0]
 
     def test_trained_codec_falls_back(self):
         addresses, sels = _stream("mixed")
         beach = make_codec("beach", 32, training=addresses[:100])
         cell = make_cell(METRIC_CODEC, "b", addresses, sels, codec=beach)
-        assert compute_cell(cell, codec=beach, use_kernels=True) == (
-            compute_cell(cell, codec=beach, use_kernels=False)
+        assert compute_cell(cell, use_kernels=True) == (
+            compute_cell(cell, use_kernels=False)
         )
 
     def test_compare_codecs_rows_match(self):
@@ -475,27 +475,45 @@ class TestCodeVersionRegression:
     def test_power_cells_distinguish_codecs(self):
         # Previously an elif dropped the codec module for power cells, so
         # editing core/t0.py silently kept stale power results.
-        assert engine_cache.code_version(
-            METRIC_POWER, codec_name="t0"
-        ) != engine_cache.code_version(METRIC_POWER, codec_name="gray")
+        t0 = engine_cache.code_version(METRIC_POWER, "t0")
+        assert t0 != engine_cache.code_version(METRIC_POWER, "gray")
 
     def test_codec_name_resolves_like_a_live_codec(self):
-        assert engine_cache.code_version(
-            METRIC_CODEC, codec_name="t0"
-        ) == engine_cache.code_version(METRIC_CODEC, make_codec("t0", 32))
+        from repro.analysis.contracts import small_width_params
+        from repro.core.registry import encoder_class
 
-    def test_unresolvable_codec_name_contributes_no_module(self):
-        # The trained beach code cannot be rebuilt by name; its version
-        # simply omits the codec module instead of crashing.
-        version = engine_cache.code_version(METRIC_CODEC, codec_name="beach")
-        assert len(version) == 64
+        for name in available_codecs():
+            params = small_width_params(name, 32)
+            codec = make_codec(name, 32, **params)
+            assert encoder_class(name) is codec.encoder_cls
+        with pytest.raises(KeyError, match="nonesuch"):
+            engine_cache.code_version(METRIC_CODEC, "nonesuch")
+
+    def test_beach_edit_invalidates_only_beach_cells(self, monkeypatch):
+        # The trained code resolves by name without training anything,
+        # so its tag covers repro.core.beach like any codec's own module.
+        names = ("beach", "t0", "binary")
+        metrics = (METRIC_CODEC, METRIC_POWER)
+        before = {
+            (metric, name): engine_cache.code_version(metric, name)
+            for metric in metrics
+            for name in names
+        }
+        real = engine_cache._module_digest
+
+        def edited(module_name):
+            if module_name == "repro.core.beach":
+                return "0" * 64
+            return real(module_name)
+
+        monkeypatch.setattr(engine_cache, "_module_digest", edited)
+        for (metric, name), version in before.items():
+            changed = engine_cache.code_version(metric, name) != version
+            assert changed == (name == "beach"), (metric, name)
 
     def test_kernel_edit_invalidates_codec_cells_only(self, monkeypatch):
-        codec = make_codec("t0", 32)
-        codec_before = engine_cache.code_version(METRIC_CODEC, codec)
-        power_before = engine_cache.code_version(
-            METRIC_POWER, codec_name="t0"
-        )
+        codec_before = engine_cache.code_version(METRIC_CODEC, "t0")
+        power_before = engine_cache.code_version(METRIC_POWER, "t0")
 
         real = engine_cache._module_digest
 
@@ -505,11 +523,6 @@ class TestCodeVersionRegression:
             return real(module_name)
 
         monkeypatch.setattr(engine_cache, "_module_digest", edited)
-        assert (
-            engine_cache.code_version(METRIC_CODEC, codec) != codec_before
-        )
+        assert engine_cache.code_version(METRIC_CODEC, "t0") != codec_before
         # Power cells never reach the kernels: their tag is unchanged.
-        assert (
-            engine_cache.code_version(METRIC_POWER, codec_name="t0")
-            == power_before
-        )
+        assert engine_cache.code_version(METRIC_POWER, "t0") == power_before

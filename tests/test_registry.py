@@ -46,7 +46,7 @@ class TestRegistry:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError):
-            register_codec("binary")(lambda width: None)  # type: ignore[arg-type]
+            register_codec("binary", BinaryEncoder)(lambda width: None)  # type: ignore[arg-type]
 
     def test_params_recorded(self):
         codec = make_codec("t0", 32, stride=8)

@@ -38,7 +38,6 @@ def fixture_config() -> ProjectConfig:
         worker_entries=("sa_project.cells.compute_cell",),
         worker_allowlist=(),
         key_entries=("sa_project.cache.cache_key",),
-        deprecated_apis=(("roundtrip_stream", "verify_roundtrip"),),
         registry_modules=("sa_project.registry",),
         specs_module="sa_project.specs",
         contracts_module="sa_project.contracts",
@@ -89,7 +88,6 @@ def test_fixture_subjects_pin_the_seeded_sites(fixture_result):
     assert "cache_key" in by_rule["SA008"].subject
     assert "cache_key" in by_rule["SA009"].subject
     assert "cache_key" in by_rule["SA010"].subject
-    assert by_rule["SA011"].subject == "roundtrip_stream"
     assert by_rule["SA015"].subject == "badcodec"
 
 
@@ -140,7 +138,6 @@ def test_catalog_covers_four_families():
         "purity",
         "fork-safety",
         "determinism",
-        "api-hygiene",
         "registry",
     }
     assert all(entry["rationale"] for entry in rule_catalog())
@@ -157,14 +154,14 @@ def test_noqa_parsing():
             "x = 1",
             "y = 2  # repro: noqa",
             "z = 3  # repro: noqa SA003, SA008",
-            "w = 4  # repro: noqa SA011 - reason text",
+            "w = 4  # repro: noqa SA012 - reason text",
         ]
     )
     marks = parse_suppressions(source)
     assert 1 not in marks
     assert marks[2] is None  # blanket
     assert marks[3] == frozenset({"SA003", "SA008"})
-    assert marks[4] == frozenset({"SA011"})
+    assert marks[4] == frozenset({"SA012"})
 
 
 def test_noqa_suppresses_a_seeded_violation(tmp_path):

@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.cli import main
 from repro.engine import ExecutionConfig, ResultCache
 from repro.experiments import table2
 from repro.obs import metrics as obs_metrics
@@ -229,6 +230,25 @@ class TestExecutionConfig:
         warm = table2(length=400, config=ExecutionConfig(cache_dir=tmp_path))
         assert generated() == before
         assert warm.render() == text
+
+    def test_warm_power_tables_replay_no_stream(self, tmp_path, capsys):
+        argv = ["tables", "8", "9", "--length", "300"]
+        assert main(argv + ["--no-cache"]) == 0
+        text = capsys.readouterr().out
+        cached = argv + ["--cache", str(tmp_path / "cache")]
+        for run in ("cold", "warm"):
+            # Each run counts from zero, as a fresh process would.
+            obs_metrics.REGISTRY.reset()
+            manifest = tmp_path / f"{run}.json"
+            assert main(cached + ["--manifest", str(manifest)]) == 0
+            assert capsys.readouterr().out == text
+        counters = json.loads(manifest.read_text())["counters"]
+
+        def total(name):
+            return sum(c["value"] for c in counters if c["name"] == name)
+
+        assert total("tracegen.addresses") == 0
+        assert total("tracegen.cache_hits") > 0
 
     def test_refresh_regenerates_stored_streams(self, tmp_path):
         table2(length=300, config=ExecutionConfig(cache_dir=tmp_path))
